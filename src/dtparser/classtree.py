@@ -17,6 +17,7 @@ the greedy-minimal merge.
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,10 +71,26 @@ class ClassTree:
             raise UnknownId(f"symbol {symbol!r} not covered by this class tree")
         return code
 
+    @cached_property
+    def code_table(self):
+        """Symbol -> code bits as one dict lookup, built on first use; a
+        symbol the table lacks is looked up through `encode`, so it takes
+        the fallback's code or raises UnknownId."""
+        table = _CodeTable((sym, code.bits) for sym, code in self.codes.items())
+        table.tree = self
+        return table
+
     def export_text(self):
         """`symbol TAB bitstring` lines, one per vocabulary symbol."""
         return "\n".join(f"{sym}\t{code.as_text()}"
                          for sym, code in sorted(self.codes.items())) + "\n"
+
+
+class _CodeTable(dict):
+    __slots__ = ("tree",)
+
+    def __missing__(self, symbol):
+        return self.tree.encode(symbol).bits
 
 
 class _Merge:

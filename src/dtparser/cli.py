@@ -210,10 +210,8 @@ def _worker_init(model_path, config):
     _worker_state["config"] = config
 
 
-def _worker_parse(job):
-    lineno, words = job
-    return lineno, _parse_line(_worker_state["model"], words,
-                               _worker_state["config"])
+def _worker_parse(words):
+    return _parse_line(_worker_state["model"], words, _worker_state["config"])
 
 
 def _parse_line(model_set, words, config):
@@ -237,19 +235,18 @@ def cmd_parse(args, out):
             lines = fh.read().splitlines()
     else:
         lines = sys.stdin.read().splitlines()
-    jobs = [(i, line.split()) for i, line in enumerate(lines)]
+    jobs = [line.split() for line in lines]
 
     if config.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=config.workers,
                                  initializer=_worker_init,
                                  initargs=(args.model, config)) as pool:
             results = list(pool.map(_worker_parse, jobs, chunksize=8))
-        results.sort(key=lambda item: item[0])
-        for _, line in results:
+        for line in results:  # map keeps the input order
             print(line, file=out)
     else:
         model_set = load_model_set(args.model)
-        for _, words in jobs:
+        for words in jobs:
             print(_parse_line(model_set, words, config), file=out)
     return EXIT_OK
 

@@ -145,11 +145,6 @@ def _decision(state):
     return None
 
 
-def decision_kind(state):
-    dec = _decision(state)
-    return dec[0] if dec else None
-
-
 def legal_actions(state):
     """The pending decision kind and its legal candidate values.
 

@@ -20,6 +20,12 @@ with the uniform distribution standing in as the root's parent so every
 future keeps nonzero probability.  The lambdas are tied across nodes in
 buckets of floor(log2(training count)) and fit by expectation
 maximisation on held-out events.
+
+Growing encodes every slot of every event at once (`encode_events`).
+Prediction, and the held-out grouping in `smooth`, instead follow a
+`FlatTree`: the grown tree as flat per-node lists, which `walk` follows
+encoding only the slot each question on its path reads, through one
+symbol -> code table per class tree.
 """
 
 import logging
@@ -128,12 +134,12 @@ class ModelSchema:
 class DTNode:
     __slots__ = ("question", "yes", "no", "counts", "total", "node_id")
 
-    def __init__(self, counts):
+    def __init__(self, counts, total=None):
         self.question = None
         self.yes = None
         self.no = None
         self.counts = counts
-        self.total = int(counts.sum())
+        self.total = int(counts.sum()) if total is None else total
         self.node_id = -1
 
     @property
@@ -258,40 +264,122 @@ def as_forced_order_tree(schema, questions, events):
     return root
 
 
-def walk(root, schema, history):
-    """Follow the questions from the root; the reached node (a leaf unless
-    the tree is a pruned forced-order tree)."""
-    vals, nulls = schema.encode_history(history)
-    node = root
-    while not node.is_leaf:
-        q = node.question
-        node = node.yes if q.answer(int(vals[q.slot]), bool(nulls[q.slot])) else node.no
-        if node is None:  # unexpanded branch of a forced-order tree
+# How a node of a FlatTree answers; a question kind other than these two
+# is answered as `le`.
+_ISNULL, _BIT, _LE = 0, 1, 2
+
+
+class FlatTree:
+    """A grown tree as flat per-node lists, the form `walk` follows.
+
+    Node i is the i-th node in preorder, as in `iter_nodes`.  An internal
+    node asks question kind `kinds[i]` with argument `args[i]` of history
+    slot `slots[i]` and goes on to node `yes[i]` or `no[i]` (-1 for a
+    branch never built); a leaf has slot -1.  `tables[i]` encodes the
+    slot's value: the class tree's code table, one per value kind and
+    shared by every slot and node of that kind, or None for a numeric
+    slot, whose value is its own code.
+    """
+
+    __slots__ = ("nodes", "width", "slots", "kinds", "args", "tables",
+                 "yes", "no")
+
+    def __init__(self, root, schema):
+        self.nodes = []
+        self.width = len(schema.slots)
+        self.slots, self.kinds, self.args, self.tables = [], [], [], []
+        self.yes, self.no = [], []
+        kind_codes = {"isnull": _ISNULL, "bit": _BIT}
+        stack = [(root, None, 0)]  # node, its parent's child list, parent
+        while stack:
+            node, branch, parent = stack.pop()
+            i = len(self.nodes)
+            if branch is not None:
+                branch[parent] = i
+            self.nodes.append(node)
+            self.yes.append(-1)
+            self.no.append(-1)
+            q = node.question
+            if q is None:
+                self.slots.append(-1)
+                self.kinds.append(None)
+                self.args.append(0)
+                self.tables.append(None)
+                continue
+            vkind = schema.slots[q.slot][1]
+            self.slots.append(q.slot)
+            self.kinds.append(kind_codes.get(q.kind, _LE))
+            self.args.append(q.arg)
+            self.tables.append(schema.encoders[vkind].code_table
+                               if vkind in CATEGORICAL_KINDS else None)
+            if node.no is not None:
+                stack.append((node.no, self.no, i))
+            if node.yes is not None:
+                stack.append((node.yes, self.yes, i))
+
+
+def walk(tree, history):
+    """Follow the questions of FlatTree `tree` from the root; the id of
+    the reached node (a leaf unless the tree is a pruned forced-order
+    tree).  Only the slots the questions read are encoded: a missing
+    value answers `isnull` yes and every other question no, and a symbol
+    its class tree does not cover raises UnknownId (unless the tree has a
+    fallback) only when a question reads its slot."""
+    if len(history) != tree.width:
+        raise SlotLayoutMismatch(
+            f"history has {len(history)} slots, schema expects {tree.width}")
+    slots, kinds, args, tables = tree.slots, tree.kinds, tree.args, tree.tables
+    yes, no = tree.yes, tree.no
+    i = 0
+    while (slot := slots[i]) >= 0:
+        value = history[slot]
+        kind = kinds[i]
+        if value is None:
+            answer = kind == _ISNULL
+        elif kind == _ISNULL:
+            answer = False
+        else:
+            table = tables[i]
+            code = int(value) if table is None else table[value]
+            answer = code >> args[i] & 1 if kind == _BIT else code <= args[i]
+        i = yes[i] if answer else no[i]
+        if i < 0:  # unexpanded branch of a forced-order tree
             raise KeyError("history was never observed")
-    return node
+    return i
 
 
 class SmoothedModel:
-    """A grown tree with per-node interpolation weights; the predictor."""
+    """A grown tree with per-node interpolation weights; the predictor.
 
-    def __init__(self, schema, root, bucket_lambdas, heldout_used, em_log):
+    Trained models compute every node's smoothed distribution from the
+    lambdas; a loaded model passes the stored ones as `smoothed` (leaves
+    only, None at internal nodes).  Either way the tree is flattened for
+    `walk` here.
+    """
+
+    def __init__(self, schema, root, bucket_lambdas, heldout_used, em_log,
+                 smoothed=None):
         self.schema = schema
         self.root = root
-        self.nodes = _assign_ids(root)
+        self.tree = FlatTree(root, schema)
+        self.nodes = self.tree.nodes
+        for i, node in enumerate(self.nodes):
+            node.node_id = i
         self.bucket_lambdas = dict(bucket_lambdas)
         self.heldout_used = heldout_used
         self.em_log = list(em_log)  # held-out log-likelihood per iteration
-        self.node_lambdas = np.array(
-            [self.bucket_lambdas[_bucket(n)] for n in self.nodes])
-        self.smoothed = self._compute_smoothed()
-        self._check()
+        if smoothed is None:
+            self.smoothed = self._compute_smoothed()
+            self._check()
+        else:
+            self.smoothed = list(smoothed)
 
     def _compute_smoothed(self):
         uniform = np.full(len(self.schema.futures), 1.0 / len(self.schema.futures))
         smoothed = [None] * len(self.nodes)
 
         def fill(node, parent_dist):
-            lam = self.node_lambdas[node.node_id]
+            lam = self.bucket_lambdas[_bucket(node)]
             smoothed[node.node_id] = lam * node.empirical() + (1.0 - lam) * parent_dist
             if not node.is_leaf:
                 fill(node.yes, smoothed[node.node_id])
@@ -306,11 +394,11 @@ class SmoothedModel:
             assert dist.min() > 0.0, "smoothed distributions must be positive"
 
     def leaf_for(self, history):
-        return walk(self.root, self.schema, history)
+        return self.nodes[walk(self.tree, history)]
 
     def predict(self, history):
         """Probabilities over `schema.futures` (read-only array)."""
-        return self.smoothed[self.leaf_for(history).node_id]
+        return self.smoothed[walk(self.tree, history)]
 
     def distribution(self, history):
         """(future, probability) pairs, most probable first; ties break on
@@ -358,10 +446,10 @@ def smooth(root, heldout_events, schema, config):
 
     # Group held-out events by (leaf, future); EM cost then scales with the
     # number of distinct groups, not events.
+    tree = FlatTree(root, schema)
     groups = {}
     for event in heldout_events:
-        leaf = walk(root, schema, event.history)
-        key = (leaf.node_id, schema.future_index[event.future])
+        key = (walk(tree, event.history), schema.future_index[event.future])
         groups[key] = groups.get(key, 0) + 1
 
     leaf_paths = {}

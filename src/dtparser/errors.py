@@ -91,6 +91,10 @@ class EmptyInput(DTParserError):
     pass
 
 
+class SentenceTooLong(DTParserError):
+    pass
+
+
 class EnumerationBudgetExceeded(DTParserError):
     pass
 

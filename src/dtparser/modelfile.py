@@ -111,8 +111,7 @@ def _model_from(data, schema):
         counts = np.zeros(n_futures, dtype=np.int64)
         for i, c in entry["counts"].items():
             counts[int(i)] = c
-        node = dtm.DTNode(counts)
-        node.node_id = pos
+        node = dtm.DTNode(counts, total=sum(entry["counts"].values()))
         nxt = pos + 1
         if entry["q"] is not None:
             slot, kind, arg = entry["q"]
@@ -126,22 +125,14 @@ def _model_from(data, schema):
         raise ModelFileError("model section has trailing nodes")
     bucket_lambdas = {int(b): float.fromhex(lam)
                       for b, lam in data["lambdas"].items()}
-    model = dtm.SmoothedModel.__new__(dtm.SmoothedModel)
-    model.schema = schema
-    model.root = root
-    model.nodes = list(dtm.iter_nodes(root))
-    model.bucket_lambdas = bucket_lambdas
-    model.heldout_used = data["heldout_used"]
-    model.em_log = []
-    model.node_lambdas = np.array(
-        [bucket_lambdas[dtm._bucket(n)] for n in model.nodes])
     # Leaf distributions come back exactly as stored; internal nodes'
     # smoothed distributions are only needed during training.
-    model.smoothed = [None] * len(model.nodes)
-    for pos, entry in enumerate(entries):
-        if entry["q"] is None:
-            model.smoothed[pos] = np.array([float.fromhex(x) for x in entry["p"]])
-    return model
+    smoothed = [None if entry["q"] is not None
+                else np.array([float.fromhex(x) for x in entry["p"]])
+                for entry in entries]
+    return dtm.SmoothedModel(schema, root, bucket_lambdas,
+                             heldout_used=data["heldout_used"], em_log=[],
+                             smoothed=smoothed)
 
 
 def save_model_set(model_set, config, path):

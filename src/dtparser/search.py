@@ -24,6 +24,12 @@ parse whenever one can still be finished).
 `exhaustive_parse` is an independent check on all of this: a plain
 depth-first enumeration of every legal decision sequence with only the
 safe never-discards-an-optimum bound applied.
+
+Expanding a hypothesis scores every legal successor but records each one
+only as (parent, decision, log probability); a successor's derivation
+state is built when it is popped and survives the incumbent bound, so
+most successors, which are never popped, cost no state at all.  Search
+order and results do not depend on when states are built.
 """
 
 import heapq
@@ -34,7 +40,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import derivation
-from .errors import DeadEnd, EmptyInput, EnumerationBudgetExceeded
+from .errors import (DeadEnd, EmptyInput, EnumerationBudgetExceeded,
+                     SentenceTooLong)
 from .models import action_scores
 
 log = logging.getLogger(__name__)
@@ -53,14 +60,27 @@ class SearchResult:
 
 
 class _Hypothesis:
-    __slots__ = ("state", "logprob", "depth", "parent", "value")
+    """One partial derivation: its parent plus the (kind, value) decision
+    taken there.  Its derivation state is built from the parent's state
+    the first time it is read, so a successor that is never popped, or
+    is pruned when popped, never builds one."""
 
-    def __init__(self, state, logprob, depth, parent, value):
-        self.state = state
+    __slots__ = ("_state", "kind", "logprob", "depth", "parent", "value")
+
+    def __init__(self, state, logprob, depth, parent, kind, value):
+        self._state = state
         self.logprob = logprob
         self.depth = depth
         self.parent = parent
+        self.kind = kind
         self.value = value
+
+    @property
+    def state(self):
+        if self._state is None:
+            self._state = derivation.apply_action(
+                self.parent.state, (self.kind, self.value), validate=False)
+        return self._state
 
     def decisions(self):
         values = []
@@ -97,12 +117,9 @@ def _expand(model_set, hyp):
         kind, scored = action_scores(model_set, hyp.state)
     except DeadEnd:
         return []
-    out = []
-    for value, p in scored:
-        state = derivation.apply_action(hyp.state, (kind, value), validate=False)
-        out.append(_Hypothesis(state, hyp.logprob + math.log(p),
-                               hyp.depth + 1, hyp, value))
-    return out
+    return [_Hypothesis(None, hyp.logprob + math.log(p), hyp.depth + 1, hyp,
+                        kind, value)
+            for value, p in scored]
 
 
 def _result(best, status, expanded):
@@ -119,10 +136,10 @@ def parse(model_set, words, config):
     if not words:
         raise EmptyInput("cannot parse an empty sentence")
     if len(words) > config.max_length:
-        raise ValueError(f"sentence of {len(words)} words exceeds the "
-                         f"{config.max_length}-word limit")
+        raise SentenceTooLong(f"sentence of {len(words)} words exceeds the "
+                              f"{config.max_length}-word limit")
     start = _Hypothesis(derivation.initial_state(words, model_set.context()),
-                        0.0, 0, None, None)
+                        0.0, 0, None, None, None)
     best = _Best()
     expanded = 0
     switch_logprob = math.log(config.switch_threshold)
@@ -158,10 +175,10 @@ def parse(model_set, words, config):
     queue = deque(sorted(pool, key=lambda h: h.depth))
     while queue:
         hyp = queue.popleft()
+        if hyp.logprob < best.logprob:
+            continue
         if hyp.state.complete:
             best.offer(hyp)
-            continue
-        if hyp.logprob < best.logprob:
             continue
         expanded += 1
         for succ in _expand(model_set, hyp):
@@ -212,7 +229,7 @@ def exhaustive_parse(model_set, words, budget=5_000_000):
     if not words:
         raise EmptyInput("cannot parse an empty sentence")
     start = _Hypothesis(derivation.initial_state(words, model_set.context()),
-                        0.0, 0, None, None)
+                        0.0, 0, None, None, None)
     best = _Best()
     expanded = 0
 

@@ -20,7 +20,7 @@ from dtparser import derivation, models, modelfile, parseval, search
 from dtparser.config import Config
 from dtparser.corpus import format_tree, leaves, read_treebank, split_corpus
 from dtparser.derivation import DerivationContext
-from dtparser.dtm import as_forced_order_tree, smooth, walk
+from dtparser.dtm import FlatTree, as_forced_order_tree, smooth, walk
 from dtparser.headfinder import default_head_rules
 from dtparser.search import STATUS_MEMORY, STATUS_OPTIMAL
 
@@ -76,12 +76,13 @@ def test_criterion_2_derivations_are_a_bijection(toy_treebank, toy_model_set):
 
 def test_criterion_3_forced_order_tree_equals_the_ngram_table():
     schema, events = test_dtm.tagging_fixture(5000, seed=31)
-    root = as_forced_order_tree(schema, schema.questions(), events)
+    flat = FlatTree(as_forced_order_tree(schema, schema.questions(), events),
+                    schema)
     table = {}
     for event in events:
         table.setdefault(event.history, Counter())[event.future] += 1
     for history, futures in table.items():
-        node = walk(root, schema, history)
+        node = flat.nodes[walk(flat, history)]
         assert node.counts.tolist() == [futures.get(f, 0)
                                         for f in schema.futures]
     print(f"PASS criterion 3: fixed-order tree reproduced the empirical "

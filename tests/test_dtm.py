@@ -10,7 +10,7 @@ import pytest
 from dtparser.classtree import fixed_class_tree
 from dtparser.config import Config
 from dtparser.derivation import DerivationEvent
-from dtparser.dtm import (ModelSchema, Question, SmoothedModel,
+from dtparser.dtm import (FlatTree, ModelSchema, Question, SmoothedModel,
                           as_forced_order_tree, dump_tree, grow, iter_nodes,
                           smooth, walk)
 from dtparser.errors import NoEvents, SlotLayoutMismatch
@@ -184,22 +184,25 @@ def test_forced_order_tree_is_the_conditional_table():
     table = {}
     for event in events:
         table.setdefault(event.history, Counter())[event.future] += 1
+    flat = FlatTree(root, schema)
     for history, futures in table.items():
-        node = walk(root, schema, history)
+        node = flat.nodes[walk(flat, history)]
         expected = [futures.get(f, 0) for f in schema.futures]
         assert node.counts.tolist() == expected
     # the question order cannot change the counts, only the tree shape
-    flipped = as_forced_order_tree(schema, list(reversed(questions)), events)
+    flipped = FlatTree(as_forced_order_tree(
+        schema, list(reversed(questions)), events), schema)
     for history in table:
-        assert walk(flipped, schema, history).counts.tolist() == \
-            walk(root, schema, history).counts.tolist()
+        assert flipped.nodes[walk(flipped, history)].counts.tolist() == \
+            flat.nodes[walk(flat, history)].counts.tolist()
 
 
 def test_unobserved_history_reaches_a_zero_count_leaf():
     # the tree is complete: unobserved answer patterns end in empty leaves
     schema, events = tagging_fixture(200, seed=4)
-    root = as_forced_order_tree(schema, schema.questions(), events)
-    node = walk(root, schema, ("w7", None, None))  # w7 never occurs
+    flat = FlatTree(as_forced_order_tree(schema, schema.questions(), events),
+                    schema)
+    node = flat.nodes[walk(flat, ("w7", None, None))]  # w7 never occurs
     assert node.is_leaf and node.total == 0
 
 
@@ -210,7 +213,7 @@ def test_walk_rejects_a_missing_branch():
     root.question = Question(0, "le", 1)
     root.no = dtm.DTNode(np.array([0, 1]))  # yes branch never built
     with pytest.raises(KeyError):
-        walk(root, schema, (1,))
+        walk(FlatTree(root, schema), (1,))
 
 
 # --- smoothing ---

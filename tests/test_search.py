@@ -1,11 +1,15 @@
 """Search: agreement with brute-force enumeration, tie-breaks, budgets."""
 
+import random
+
 import pytest
 
 import toylang
-from dtparser import models, search
-from dtparser.corpus import format_tree, leaves, parse_tree
-from dtparser.errors import EmptyInput, EnumerationBudgetExceeded
+from dtparser import derivation, models, search
+from dtparser.config import Config
+from dtparser.corpus import format_tree, leaves, parse_tree, split_corpus
+from dtparser.errors import (EmptyInput, EnumerationBudgetExceeded,
+                             SentenceTooLong)
 from dtparser.search import STATUS_MEMORY, STATUS_OPTIMAL
 
 from conftest import toy_config
@@ -90,10 +94,59 @@ def test_empty_input(toy_model_set, config):
 
 
 def test_overlong_input(toy_model_set, config):
-    with pytest.raises(ValueError):
+    with pytest.raises(SentenceTooLong):
         search.parse(toy_model_set, ["w"] * 41, config)
+    # the limit itself is still parsed
+    assert search.parse(toy_model_set, ["rex"],
+                        config.replace(max_length=1)).status == STATUS_OPTIMAL
 
 
 def test_enumeration_budget(toy_model_set):
     with pytest.raises(EnumerationBudgetExceeded):
         search.exhaustive_parse(toy_model_set, LONG_SENTENCE[:8], budget=3)
+
+
+@pytest.fixture(scope="module")
+def random_tree_model_set():
+    """A model of arbitrary random trees: far more ambiguous than the toy
+    grammar, so search keeps many hypotheses alive."""
+    rng = random.Random(120)
+    trees = [toylang.random_tree(rng) for _ in range(120)]
+    config = Config(unk_threshold=1, min_events=4, cluster_window=64)
+    grow, heldout = split_corpus(trees, config.grow_fraction, config.seed)
+    return models.train(grow, heldout, config)
+
+
+def test_search_matches_enumeration_on_an_ambiguous_model(
+        random_tree_model_set, config):
+    rng = random.Random(30)
+    vocabulary = toylang.RANDOM_WORDS + ("qq",)  # and one unknown word
+    for _ in range(30):
+        words = [rng.choice(vocabulary) for _ in range(rng.choice((2, 3)))]
+        got = search.parse(random_tree_model_set, words, config)
+        oracle = search.exhaustive_parse(random_tree_model_set, words)
+        assert got.status == STATUS_OPTIMAL
+        assert format_tree(got.tree) == format_tree(oracle.tree)
+        assert got.logprob == oracle.logprob
+
+
+def test_states_are_built_only_for_popped_hypotheses(toy_treebank,
+                                                     toy_model_set, config,
+                                                     monkeypatch):
+    calls = 0
+    apply_action = derivation.apply_action
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return apply_action(*args, **kwargs)
+
+    monkeypatch.setattr(derivation, "apply_action", counted)
+    for tree in toy_treebank:
+        calls = 0
+        result = search.parse(toy_model_set,
+                              [leaf.word for leaf in leaves(tree)], config)
+        # One state per popped, unpruned hypothesis: every expanded one
+        # but the start, whose state is the initial one, plus the
+        # complete parse popped last.
+        assert calls <= result.expanded, format_tree(tree)
