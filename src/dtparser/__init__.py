@@ -3,8 +3,8 @@
 Parse trees are built bottom-up, left-to-right by a canonical sequence
 of tagging, labelling and attachment decisions; each decision is scored
 by a grown-and-smoothed decision tree over features of the partial
-parse, and a two-phase stack-decoder search finds the most probable
-complete derivation.
+parse, and a best-first (A*) search finds the most probable complete
+derivation.
 """
 
 from .config import Config, load_config

@@ -90,8 +90,6 @@ def _build_parser():
     p.add_argument("-o", "--out", default=None, help="output file (default stdout)")
     p.add_argument("--max-length", type=int, default=None,
                    help="skip sentences longer than this (default 40)")
-    p.add_argument("--beam-width", type=int, default=None)
-    p.add_argument("--switch-threshold", type=float, default=None)
     p.add_argument("--max-hypotheses", type=int, default=None)
     p.add_argument("--workers", type=int, default=None,
                    help="parse sentences in parallel (output keeps input order)")
@@ -122,8 +120,7 @@ def _load_settings(args):
         config = load_config(args.config, base=config)
     overrides = {}
     for key in ("format", "seed", "unk_threshold", "grow_fraction", "u_max",
-                "max_length", "beam_width", "switch_threshold",
-                "max_hypotheses", "workers"):
+                "max_length", "max_hypotheses", "workers"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value

@@ -39,8 +39,6 @@ class Config:
 
     # derivations / search
     u_max: int = 0  # 0 means: use the longest chain observed in training
-    beam_width: int = 10
-    switch_threshold: float = 1e-5
     max_hypotheses: int = 2_000_000
     max_length: int = 40
     renormalize: bool = False

@@ -318,6 +318,18 @@ def extract_history(state, kind=None):
     return tuple(slots)
 
 
+def word_histories(word, unknown):
+    """The histories of `word`'s tag decision and of its word node's own
+    extension decision, with `unknown` in every slot but the current
+    node's: wherever the word stands, `extract_history` fixes that node
+    as the word node, all but its tag at the extension decision."""
+    around = (unknown,) * ((len(_QUERIED_NODES) - 1) * len(_FEATURES))
+    tag = ((word, None, TAG_LABEL, None, 0, 1) + around
+           + (unknown,) * len(_TAG_EXTRAS))
+    extension = (word, unknown, TAG_LABEL, None, 0, 1) + around
+    return tag, extension
+
+
 def format_event(event):
     """One-line dump: `kind TAB future TAB slot=value,...` (non-null slots)."""
     names = [name for name, _ in slot_layout(event.kind)]

@@ -348,6 +348,44 @@ def walk(tree, history):
     return i
 
 
+UNKNOWN = object()  # a history slot that may hold any value
+
+
+def max_leaf_probability(tree, history, dists):
+    """The largest probability that a leaf of FlatTree `tree` reachable
+    from `history` gives any future, where `dists[i]` is node i's
+    distribution.  A question on a slot holding UNKNOWN follows both
+    branches; any other slot is answered as `walk` answers it, so the
+    result bounds `dists[walk(tree, h)]` for every history h that agrees
+    with `history` outside its UNKNOWN slots."""
+    slots, kinds, args, tables = tree.slots, tree.kinds, tree.args, tree.tables
+    best = 0.0
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        slot = slots[i]
+        if slot < 0:
+            best = max(best, float(dists[i].max()))
+            continue
+        value = history[slot]
+        kind = kinds[i]
+        if value is UNKNOWN:
+            todo.extend(j for j in (tree.yes[i], tree.no[i]) if j >= 0)
+            continue
+        if value is None:
+            answer = kind == _ISNULL
+        elif kind == _ISNULL:
+            answer = False
+        else:
+            table = tables[i]
+            code = int(value) if table is None else table[value]
+            answer = code >> args[i] & 1 if kind == _BIT else code <= args[i]
+        j = tree.yes[i] if answer else tree.no[i]
+        if j >= 0:
+            todo.append(j)
+    return best
+
+
 class SmoothedModel:
     """A grown tree with per-node interpolation weights; the predictor.
 

@@ -20,7 +20,7 @@ from .config import Config
 from .corpus import Vocabularies
 from .errors import ModelFileError
 from .headfinder import HeadRuleTable, parse_head_rules
-from .models import ModelSet, make_schema
+from .models import SCHEMA_VERSION, ModelSet, make_schema
 
 MAGIC = "dtparser-model"
 CLASSES_MAGIC = "dtparser-classes"
@@ -146,7 +146,7 @@ def save_model_set(model_set, config, path):
         "settings": {
             "u_max": model_set.u_max,
             "renormalize": model_set.renormalize,
-            "schema_version": model_set.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "config": {k: repr(v) for k, v in config.as_dict().items()},
         },
     }
@@ -211,6 +211,13 @@ def load_model_set(path):
         if required not in sections:
             raise ModelFileError(f"{path}: section {required!r} missing")
 
+    settings = sections["settings"]
+    if settings.get("schema_version") != SCHEMA_VERSION:
+        raise ModelFileError(
+            f"{path}: model schema version "
+            f"{settings.get('schema_version')!r} unsupported "
+            f"(expected {SCHEMA_VERSION})")
+
     vocab = _vocab_from(sections["vocabularies"])
     class_trees = {kind: _classtree_from(data)
                    for kind, data in sections["class_trees"].items()}
@@ -219,8 +226,6 @@ def load_model_set(path):
     for kind in derivation.KINDS:
         schema = make_schema(kind, vocab, class_trees)
         models[kind] = _model_from(sections["models"][kind], schema)
-    settings = sections["settings"]
     return ModelSet(vocab=vocab, heads=heads, class_trees=class_trees,
                     models=models, u_max=settings["u_max"],
-                    renormalize=settings["renormalize"],
-                    schema_version=settings["schema_version"])
+                    renormalize=settings["renormalize"])

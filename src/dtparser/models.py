@@ -42,8 +42,9 @@ class ModelSet:
     models: dict                   # decision kind -> SmoothedModel
     u_max: int
     renormalize: bool = False
-    schema_version: int = SCHEMA_VERSION
     _ctx: object = field(default=None, repr=False)
+    _word_bounds: dict = field(default_factory=dict, init=False,
+                               repr=False, compare=False)
 
     def context(self):
         if self._ctx is None:
@@ -51,6 +52,28 @@ class ModelSet:
                 tags=tuple(self.vocab.tags), labels=tuple(self.vocab.labels),
                 heads=self.heads, u_max=self.u_max)
         return self._ctx
+
+    def word_bound(self, word):
+        """Upper bounds, as log probabilities, on the tag decision of
+        `word` and on the extension decision of its word node, wherever
+        the word stands in whatever sentence.  Both are 0 when
+        `renormalize` is on, since rescaled probabilities can exceed any
+        leaf's.  Computed on a word's first use and cached by its class
+        code, which is all of the word the models can read."""
+        if self.renormalize:
+            return 0.0, 0.0
+        code = self.class_trees["word"].code_table[word]
+        bound = self._word_bounds.get(code)
+        if bound is None:
+            tag, extension = derivation.word_histories(word, dtm.UNKNOWN)
+            bound = tuple(
+                math.log(dtm.max_leaf_probability(model.tree, history,
+                                                  model.smoothed))
+                for model, history in (
+                    (self.models[derivation.KIND_TAG], tag),
+                    (self.models[derivation.KIND_EXTENSION], extension)))
+            self._word_bounds[code] = bound
+        return bound
 
 
 def make_schema(kind, vocab, class_trees):

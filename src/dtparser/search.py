@@ -1,16 +1,26 @@
 """Search for the highest-probability derivation of a sentence.
 
-`parse` runs in two phases.  Phase one is a stack decoder: hypotheses are
-expanded best-first by log probability, with at most `beam_width`
-expansions per decision depth (hypotheses beyond the beam are set aside,
-not dropped), until a complete parse with probability above
-`switch_threshold` turns up -- or, failing that, until the best-first
-frontier is spent.  Phase two then exhausts every remaining hypothesis
-breadth-first, discarding any whose log probability has fallen strictly
-below the best complete parse found so far.  Since every decision
-probability is at most 1, a partial derivation's score can only drop as
-it grows, so this pruning never discards an optimal completion and a
-finished phase two certifies optimality.
+`parse` is one best-first (A*) loop.  A hypothesis is a partial
+derivation with log probability `logprob`; the heap pops the one with the
+largest `logprob + h`, where `h` bounds from above the log probability
+its remaining decisions can add.  Only two kinds of decision are bounded
+below 1: every untagged word still owes a tag decision and then the
+extension decision of its own word node, and `ModelSet.word_bound` gives,
+per word, the largest leaf probability either model can reach from the
+history slots that the word alone fixes.  `h` sums those bounds over the
+words still owing them; labels and constituent extensions count as 1.
+
+The search certifies the optimum because `h` never underestimates what a
+completion can score (every leaf the real history reaches is one of the
+leaves the bound ranges over, and every probability is at most 1) and
+because it drops by exactly the bound of each decision it settles, so
+`logprob + h` never rises along a derivation.  Hence once the top of the
+heap falls below the best complete parse found so far, by more than
+float rounding, no hypothesis left can complete to one as good, and the
+loop stops.  A popped hypothesis whose `logprob` alone is below that
+parse's is dropped unexpanded.  With `renormalize` on, rescaled
+probabilities can exceed any leaf's, so `h` is 0 and the loop is a
+uniform-cost search.
 
 Equal-probability complete parses are tie-broken toward the
 lexicographically smallest decision sequence; pruning keeps
@@ -26,17 +36,16 @@ depth-first enumeration of every legal decision sequence with only the
 safe never-discards-an-optimum bound applied.
 
 Expanding a hypothesis scores every legal successor but records each one
-only as (parent, decision, log probability); a successor's derivation
-state is built when it is popped and survives the incumbent bound, so
-most successors, which are never popped, cost no state at all.  Search
-order and results do not depend on when states are built.
+only as (parent, decision, log probability, `h`); a successor's
+derivation state is built when it is popped and survives the incumbent
+bound, so most successors, which are never popped, cost no state at all.
+Search order and results do not depend on when states are built.
 """
 
 import heapq
 import itertools
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from . import derivation
@@ -56,21 +65,22 @@ class SearchResult:
     tree: object       # RawTree, or None when no parse was completed
     logprob: float     # natural log; -inf when tree is None
     status: str
-    expanded: int      # hypotheses expanded across all phases
+    expanded: int      # hypotheses expanded, memory fallback included
 
 
 class _Hypothesis:
     """One partial derivation: its parent plus the (kind, value) decision
-    taken there.  Its derivation state is built from the parent's state
-    the first time it is read, so a successor that is never popped, or
-    is pruned when popped, never builds one."""
+    taken there, and `h`, the bound on what its unfinished words still
+    cost.  Its derivation state is built from the parent's state the
+    first time it is read, so a successor that is never popped, or is
+    pruned when popped, never builds one."""
 
-    __slots__ = ("_state", "kind", "logprob", "depth", "parent", "value")
+    __slots__ = ("_state", "kind", "logprob", "h", "parent", "value")
 
-    def __init__(self, state, logprob, depth, parent, kind, value):
+    def __init__(self, state, logprob, h, parent, kind, value):
         self._state = state
         self.logprob = logprob
-        self.depth = depth
+        self.h = h
         self.parent = parent
         self.kind = kind
         self.value = value
@@ -111,14 +121,15 @@ class _Best:
         self._decisions = decisions
 
 
-def _expand(model_set, hyp):
-    """Successors of `hyp`, one per legal action; empty at a dead end."""
+def _expand(model_set, hyp, bound=None):
+    """Successors of `hyp`, one per legal action, each carrying its `h`
+    under `bound` (0 without one); empty at a dead end."""
     try:
         kind, scored = action_scores(model_set, hyp.state)
     except DeadEnd:
         return []
-    return [_Hypothesis(None, hyp.logprob + math.log(p), hyp.depth + 1, hyp,
-                        kind, value)
+    h = 0.0 if bound is None else bound.after(hyp, kind)
+    return [_Hypothesis(None, hyp.logprob + math.log(p), h, hyp, kind, value)
             for value, p in scored]
 
 
@@ -131,6 +142,30 @@ def _result(best, status, expanded):
                         expanded=expanded)
 
 
+class _OutsideBound:
+    """`h` for the hypotheses of one sentence, from its words' bounds."""
+
+    def __init__(self, model_set, words):
+        bounds = [model_set.word_bound(word) for word in words]
+        # untagged[i]: words i.. untagged, nothing else owed;
+        # tagged[i]: word i just tagged, its extension still owed.
+        self.untagged = [0.0] * (len(words) + 1)
+        for i in range(len(words) - 1, -1, -1):
+            self.untagged[i] = (self.untagged[i + 1]
+                                + bounds[i][0] + bounds[i][1])
+        self.tagged = [self.untagged[i + 1] + bounds[i][1]
+                       for i in range(len(words))]
+
+    def after(self, hyp, kind):
+        """`h` of every successor of `hyp`, whose pending decision is of
+        `kind`."""
+        if kind == derivation.KIND_TAG:
+            return self.tagged[len(hyp.state.tagged)]
+        if hyp.kind == derivation.KIND_TAG:  # the tagged word's extension
+            return self.untagged[len(hyp.state.tagged)]
+        return hyp.h
+
+
 def parse(model_set, words, config):
     """The optimal parse of `words`, unless memory runs out first."""
     if not words:
@@ -138,57 +173,34 @@ def parse(model_set, words, config):
     if len(words) > config.max_length:
         raise SentenceTooLong(f"sentence of {len(words)} words exceeds the "
                               f"{config.max_length}-word limit")
+    bound = _OutsideBound(model_set, words)
     start = _Hypothesis(derivation.initial_state(words, model_set.context()),
-                        0.0, 0, None, None, None)
+                        0.0, bound.untagged[0], None, None, None)
     best = _Best()
     expanded = 0
-    switch_logprob = math.log(config.switch_threshold)
-
-    ticket = itertools.count()  # FIFO among equal log probabilities
-    heap = [(-start.logprob, next(ticket), start)]
-    set_aside = []
-    expansions_at_depth = {}
-
-    # Phase 1: best-first with a per-depth beam, stop on a good completion.
+    ticket = itertools.count()  # FIFO among equal priorities
+    heap = [(-(start.logprob + start.h), next(ticket), start)]
     while heap:
-        _, _, hyp = heapq.heappop(heap)
-        if hyp.state.complete:
-            best.offer(hyp)
-            if hyp.logprob > switch_logprob:
-                break
-            continue
-        if expansions_at_depth.get(hyp.depth, 0) >= config.beam_width:
-            set_aside.append(hyp)
-            continue
-        expansions_at_depth[hyp.depth] = expansions_at_depth.get(hyp.depth, 0) + 1
-        expanded += 1
-        for succ in _expand(model_set, hyp):
-            if succ.logprob < best.logprob:
-                continue
-            heapq.heappush(heap, (-succ.logprob, next(ticket), succ))
-        if len(heap) + len(set_aside) > config.max_hypotheses:
-            pool = [entry[2] for entry in heap] + set_aside
-            return _memory_fallback(model_set, pool, best, expanded)
-
-    # Phase 2: breadth-first exhaustion of everything still open.
-    pool = [entry[2] for entry in heap] + set_aside
-    queue = deque(sorted(pool, key=lambda h: h.depth))
-    while queue:
-        hyp = queue.popleft()
+        priority, _, hyp = heapq.heappop(heap)
+        # Every hypothesis left scores at most -priority, so once that
+        # falls below the incumbent (by more than rounding) none can
+        # complete to a parse as good.
+        if -priority < best.logprob - 1e-9 * max(1.0, -best.logprob):
+            break
         if hyp.logprob < best.logprob:
             continue
         if hyp.state.complete:
             best.offer(hyp)
             continue
         expanded += 1
-        for succ in _expand(model_set, hyp):
-            assert succ.logprob <= hyp.logprob + 1e-12, \
-                "a decision can never raise a derivation's probability"
+        for succ in _expand(model_set, hyp, bound):
             if succ.logprob < best.logprob:
                 continue
-            queue.append(succ)
-        if len(queue) > config.max_hypotheses:
-            return _memory_fallback(model_set, list(queue), best, expanded)
+            heapq.heappush(heap, (-(succ.logprob + succ.h), next(ticket),
+                                  succ))
+        if len(heap) > config.max_hypotheses:
+            return _memory_fallback(model_set, [entry[2] for entry in heap],
+                                    best, expanded)
 
     if best.hyp is None:
         return _result(best, STATUS_NO_PARSE, expanded)
@@ -229,7 +241,7 @@ def exhaustive_parse(model_set, words, budget=5_000_000):
     if not words:
         raise EmptyInput("cannot parse an empty sentence")
     start = _Hypothesis(derivation.initial_state(words, model_set.context()),
-                        0.0, 0, None, None, None)
+                        0.0, 0.0, None, None, None)
     best = _Best()
     expanded = 0
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dtparser import derivation, modelfile, models
+from dtparser import cli, derivation, modelfile, models
 from dtparser.dtm import iter_nodes
 from dtparser.errors import ModelFileError
 
@@ -115,6 +115,20 @@ def test_unsupported_version_is_rejected(saved, tmp_path):
     path = _rewrite(saved, tmp_path, lambda env: env.update(version=99))
     with pytest.raises(ModelFileError, match="version"):
         modelfile.load_model_set(path)
+
+
+def test_other_schema_version_is_rejected(saved, tmp_path, capsys):
+    def mutate(envelope):
+        section = envelope["sections"]["settings"]
+        section["data"]["schema_version"] = 2
+        section["sha256"] = modelfile._checksum(section["data"])
+    path = _rewrite(saved, tmp_path, mutate)
+    with pytest.raises(ModelFileError, match="schema version 2"):
+        modelfile.load_model_set(path)
+    (tmp_path / "in.txt").write_text("the dog runs\n")
+    assert cli.main(["parse", str(path), str(tmp_path / "in.txt")]) == \
+        cli.EXIT_DATA
+    assert "schema version 2" in capsys.readouterr().err
 
 
 def test_bad_magic_is_rejected(saved, tmp_path):

@@ -1,20 +1,25 @@
 """Search: agreement with brute-force enumeration, tie-breaks, budgets."""
 
+import dataclasses
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toylang
 from dtparser import derivation, models, search
 from dtparser.config import Config
-from dtparser.corpus import format_tree, leaves, parse_tree, split_corpus
+from dtparser.corpus import (RawLeaf, RawTree, format_tree, leaves,
+                             parse_tree, split_corpus)
 from dtparser.errors import (EmptyInput, EnumerationBudgetExceeded,
-                             SentenceTooLong)
+                             SentenceTooLong, UnaryChainTooLong)
 from dtparser.search import STATUS_MEMORY, STATUS_OPTIMAL
 
 from conftest import toy_config
 
-# a sentence the toy grammar generates; long enough to make the beam work
+# a sentence the toy grammar generates; long enough to make search work
 LONG_SENTENCE = "the old ball runs a old cat in the park".split()
 
 
@@ -117,17 +122,108 @@ def random_tree_model_set():
     return models.train(grow, heldout, config)
 
 
+RANDOM_VOCABULARY = toylang.RANDOM_WORDS + ("qq",)  # and one unknown word
+
+
+def assert_matches_enumeration(model_set, words, config):
+    got = search.parse(model_set, words, config)
+    oracle = search.exhaustive_parse(model_set, words)
+    assert got.status == STATUS_OPTIMAL
+    assert format_tree(got.tree) == format_tree(oracle.tree)
+    assert got.logprob == oracle.logprob
+    return got
+
+
 def test_search_matches_enumeration_on_an_ambiguous_model(
         random_tree_model_set, config):
     rng = random.Random(30)
-    vocabulary = toylang.RANDOM_WORDS + ("qq",)  # and one unknown word
+    expanded = 0
     for _ in range(30):
-        words = [rng.choice(vocabulary) for _ in range(rng.choice((2, 3)))]
-        got = search.parse(random_tree_model_set, words, config)
-        oracle = search.exhaustive_parse(random_tree_model_set, words)
-        assert got.status == STATUS_OPTIMAL
-        assert format_tree(got.tree) == format_tree(oracle.tree)
-        assert got.logprob == oracle.logprob
+        words = [rng.choice(RANDOM_VOCABULARY)
+                 for _ in range(rng.choice((2, 3)))]
+        expanded += assert_matches_enumeration(random_tree_model_set, words,
+                                               config).expanded
+    # 9,795 is what the two-phase decoder this search replaced expanded.
+    assert expanded < 9795
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(st.sampled_from(RANDOM_VOCABULARY), min_size=2,
+                      max_size=3))
+def test_search_matches_enumeration_on_generated_sentences(
+        random_tree_model_set, config, words):
+    assert_matches_enumeration(random_tree_model_set, words, config)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_search_matches_enumeration_when_renormalized(toy_model_set, config,
+                                                      seed):
+    # Rescaled probabilities can exceed any leaf's, so the search runs
+    # without the per-word bound here.
+    renormalized = dataclasses.replace(toy_model_set, renormalize=True)
+    assert renormalized.word_bound("the") == (0.0, 0.0)
+    words = toylang.short_sentences(1, seed, max_words=6)[0]
+    assert_matches_enumeration(renormalized, words, config)
+
+
+def _rewrite_words(tree, rng, vocabulary):
+    """`tree` with every word redrawn from `vocabulary`."""
+    if isinstance(tree, RawLeaf):
+        return RawLeaf(rng.choice(vocabulary), tree.tag)
+    return RawTree(tree.label, tuple(_rewrite_words(child, rng, vocabulary)
+                                     for child in tree.children))
+
+
+def assert_word_bounds_hold(model_set, tree):
+    """Every tag decision of `tree`'s derivation, and the extension
+    decision right after it (the tagged word's own), scores at most the
+    word's bound."""
+    try:
+        events = derivation.encode(tree, model_set.context())
+    except UnaryChainTooLong:
+        return
+    previous = None
+    for event in events:
+        kind = event.kind
+        if kind == derivation.KIND_TAG or previous == derivation.KIND_TAG:
+            model = model_set.models[kind]
+            p = model.predict(event.history)[
+                model.schema.future_index[event.future]]
+            tag_bound, extension_bound = model_set.word_bound(event.history[0])
+            bound = tag_bound if kind == derivation.KIND_TAG else \
+                extension_bound
+            assert math.log(p) <= bound, (format_tree(tree), event)
+        previous = kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_word_bounds_are_admissible_on_random_trees(random_tree_model_set,
+                                                    seed):
+    rng = random.Random(seed)
+    tree = _rewrite_words(toylang.random_tree(rng), rng, RANDOM_VOCABULARY)
+    assert_word_bounds_hold(random_tree_model_set, tree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_word_bounds_are_admissible_on_the_toy_model(toy_model_set, seed):
+    rng = random.Random(seed)
+    vocabulary = sorted(w for ws in toylang.WORDS.values() for w in ws)
+    tree = toylang.sentence(rng)
+    if rng.random() < 0.5:
+        tree = _rewrite_words(tree, rng, vocabulary + ["qq"])
+    assert_word_bounds_hold(toy_model_set, tree)
+
+
+def test_word_bound_cache_is_bounded_by_the_vocabulary(toy_model_set,
+                                                       config):
+    model_set = dataclasses.replace(toy_model_set)  # with an empty cache
+    for i in range(1000):
+        search.parse(model_set, [f"unknown{i}"], config)
+    assert 1 <= len(model_set._word_bounds) <= \
+        len(model_set.class_trees["word"].codes)
 
 
 def test_states_are_built_only_for_popped_hypotheses(toy_treebank,

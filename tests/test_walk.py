@@ -69,6 +69,30 @@ def test_walk_matches_the_reference(toy_model_set, reloaded, kind, data):
             reference_walk(model.root, model.schema, history)
 
 
+@pytest.mark.parametrize("kind", derivation.KINDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_max_leaf_probability_bounds_every_filled_history(toy_model_set,
+                                                          reloaded, kind,
+                                                          data):
+    history = data.draw(histories(toy_model_set.models[kind].schema))
+    hidden = data.draw(st.sets(st.integers(0, len(history) - 1)))
+    partial = tuple(dtm.UNKNOWN if i in hidden else value
+                    for i, value in enumerate(history))
+    for model_set in (toy_model_set, reloaded):
+        model = model_set.models[kind]
+        reached = model.predict(history).max()
+        assert dtm.max_leaf_probability(model.tree, history,
+                                        model.smoothed) == reached
+        assert dtm.max_leaf_probability(model.tree, partial,
+                                        model.smoothed) >= reached
+    everything = (dtm.UNKNOWN,) * len(history)
+    leaves = [dist.max() for i, dist in enumerate(model.smoothed)
+              if model.tree.slots[i] < 0]
+    assert dtm.max_leaf_probability(model.tree, everything,
+                                    model.smoothed) == max(leaves)
+
+
 @pytest.fixture(scope="module")
 def forced():
     schema, events = test_dtm.tagging_fixture(300, seed=9)
