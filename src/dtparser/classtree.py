@@ -13,6 +13,15 @@ events, as estimated from bigram co-occurrence counts.  To bound the
 cost on large vocabularies only a window of the most frequent remaining
 classes is considered at a time; within the window each step is exactly
 the greedy-minimal merge.
+
+The k x k merge losses are kept up to date rather than recomputed
+(Brown et al. 1992, "Class-Based n-gram Models of Natural Language"):
+the part of each pair's loss that sums over third classes is adjusted
+by the merged or admitted class alone, so a step costs O(k^2) instead of
+O(k^3).  The incremental losses only nominate candidates: every pair
+within rounding of the least is re-scored by the same row computation
+`_merge_losses` uses, so each merge, and so each code, is exactly what
+recomputing all losses would give.
 """
 
 import logging
@@ -170,19 +179,11 @@ def average_mutual_information(matrix):
     return float(_mi_terms(m, pl[:, None], pr[None, :], total).sum())
 
 
-def _merge_losses(m):
-    """Loss of average MI for merging every class pair of count matrix `m`.
-
-    Returns a k x k array; entry (a, b) with a < b is the MI drop from
-    merging classes a and b.  Other entries are +inf.
-    """
-    k = m.shape[0]
+def _loss_context(m):
+    """What every row of `_merge_losses` reads of count matrix `m`: its
+    total, its row and column sums, its MI terms and the MI mass touching
+    each class.  `m` must have a nonzero total."""
     total = m.sum()
-    losses = np.full((k, k), np.inf)
-    if total == 0:
-        iu = np.triu_indices(k, 1)
-        losses[iu] = 0.0
-        return losses
     pl = m.sum(axis=1)
     pr = m.sum(axis=0)
     terms = _mi_terms(m, pl[:, None], pr[None, :], total)
@@ -190,25 +191,170 @@ def _merge_losses(m):
     col_sum = terms.sum(axis=0)
     diag = np.diag(terms)
     involve = row_sum + col_sum - diag  # MI mass touching each class
+    return total, pl, pr, terms, involve
 
-    idx = np.arange(k)
+
+def _merge_loss_row(m, a, context):
+    """MI drop from merging class `a` with each class b > a of `m`."""
+    total, pl, pr, terms, involve = context
+    bs = np.arange(m.shape[0])[a + 1:]
+    # Merged outgoing rows: counts from (a U b) to every class d.
+    rows = m[a, :][None, :] + m[bs, :]
+    frow = _mi_terms(rows, (pl[a] + pl[bs])[:, None], pr[None, :], total)
+    row_term = frow.sum(axis=1) - frow[:, a] - frow[np.arange(len(bs)), bs]
+    # Merged incoming columns: counts from every class c into (a U b).
+    cols = m[:, a][:, None] + m[:, bs]
+    fcol = _mi_terms(cols, pl[:, None], (pr[a] + pr[bs])[None, :], total)
+    col_term = fcol.sum(axis=0) - fcol[a, :] - fcol[bs, np.arange(len(bs))]
+    # Internal mass of the merged class.
+    self_counts = m[a, a] + m[a, bs] + m[bs, a] + m[bs, bs]
+    self_term = _mi_terms(self_counts, pl[a] + pl[bs], pr[a] + pr[bs], total)
+    new_mass = row_term + col_term + self_term
+    old_mass = involve[a] + involve[bs] - terms[a, bs] - terms[bs, a]
+    return old_mass - new_mass
+
+
+def _merge_losses(m):
+    """Loss of average MI for merging every class pair of count matrix `m`.
+
+    Returns a k x k array; entry (a, b) with a < b is the MI drop from
+    merging classes a and b.  Other entries are +inf.  This recomputes
+    everything at O(k^3); `build_class_tree` keeps the losses up to date
+    instead and re-scores only its candidate rows with `_merge_loss_row`.
+    """
+    k = m.shape[0]
+    losses = np.full((k, k), np.inf)
+    if m.sum() == 0:
+        iu = np.triu_indices(k, 1)
+        losses[iu] = 0.0
+        return losses
+    context = _loss_context(m)
     for a in range(k - 1):
-        bs = idx[a + 1:]
-        # Merged outgoing rows: counts from (a U b) to every class d.
-        rows = m[a, :][None, :] + m[bs, :]
-        frow = _mi_terms(rows, (pl[a] + pl[bs])[:, None], pr[None, :], total)
-        row_term = frow.sum(axis=1) - frow[:, a] - frow[np.arange(len(bs)), bs]
-        # Merged incoming columns: counts from every class c into (a U b).
-        cols = m[:, a][:, None] + m[:, bs]
-        fcol = _mi_terms(cols, pl[:, None], (pr[a] + pr[bs])[None, :], total)
-        col_term = fcol.sum(axis=0) - fcol[a, :] - fcol[bs, np.arange(len(bs))]
-        # Internal mass of the merged class.
-        self_counts = m[a, a] + m[a, bs] + m[bs, a] + m[bs, bs]
-        self_term = _mi_terms(self_counts, pl[a] + pl[bs], pr[a] + pr[bs], total)
-        new_mass = row_term + col_term + self_term
-        old_mass = involve[a] + involve[bs] - terms[a, bs] - terms[bs, a]
-        losses[a, a + 1:] = old_mass - new_mass
+        losses[a, a + 1:] = _merge_loss_row(m, a, context)
     return losses
+
+
+def _g(x):
+    """x * log2(x) elementwise, with g(0) = 0."""
+    return x * np.log2(np.where(x > 0, x, 1.0))
+
+
+def _add_pair_terms(h, u, sign=1.0):
+    """Add, for every pair of classes (c, d), what sum-of-g loses when the
+    cells u_c and u_d become one: g(u_c) + g(u_d) - g(u_c + u_d).  That is
+    0 unless both cells are nonzero, so only those pairs are touched."""
+    nz = np.flatnonzero(u)
+    x = u[nz]
+    gx = _g(x)
+    h[np.ix_(nz, nz)] += sign * (gx[:, None] + gx[None, :]
+                                 - _g(x[:, None] + x[None, :]))
+
+
+def _third_class_row(m, x):
+    """h[x, d] for every d: the pair terms of the cells classes x and d
+    share with each third class e, in row e and in column e."""
+    row = np.zeros(len(m))
+    for cells in (m, m.T):  # counts into e, then counts out of e
+        e = np.flatnonzero(cells[x])
+        e = e[e != x]
+        mx = cells[x, e]
+        md = cells[:, e]
+        f = _g(mx)[None, :] + _g(md) - _g(mx[None, :] + md)
+        row += f.sum(axis=1)
+        row[e] -= f[e, np.arange(len(e))]
+    row[x] = 0.0
+    return row
+
+
+class _MergeLosses:
+    """A class x class count matrix whose merge losses are kept up to date
+    as classes merge and new classes are admitted.
+
+    With g(x) = x log2 x, MI * T = sum g(m) - sum g(L) - sum g(R) + g(T)
+    for cells m, row sums L, column sums R and total T.  A merge leaves T
+    as it is, so T times the loss of merging c and d is
+        h[c, d]  (the pair terms of the cells c and d share with third classes)
+      + g(m_cc) + g(m_cd) + g(m_dc) + g(m_dd) - g(m_cc + m_cd + m_dc + m_dd)
+      - (g(L_c) + g(L_d) - g(L_c + L_d)) - (g(R_c) + g(R_d) - g(R_c + R_d)).
+    Only `h` costs O(k) per pair; it is updated at O(k^2) per merge or
+    admission, and the rest is recomputed at O(k^2) per call.
+    """
+
+    def __init__(self, m):
+        self.m = np.array(m, dtype=float)
+        k = len(self.m)
+        self.h = np.zeros((k, k))
+        for x in range(k):
+            self.h[x] = _third_class_row(self.m, x)
+
+    def admit(self, row, col, self_count):
+        """Add a class with counts `row` to and `col` from the present ones."""
+        k = len(self.m)
+        m = np.empty((k + 1, k + 1))
+        m[:k, :k] = self.m
+        m[k, :k] = row
+        m[:k, k] = col
+        m[k, k] = self_count
+        h = np.zeros((k + 1, k + 1))
+        h[:k, :k] = self.h
+        _add_pair_terms(h, m[:, k])
+        _add_pair_terms(h, m[k, :])
+        h[k, :] = h[:, k] = _third_class_row(m, k)
+        self.m, self.h = m, h
+
+    def merge(self, a, b):
+        """Fold class b into class a (a < b); b's index goes away."""
+        m, h = self.m, self.h
+        for e in (a, b):
+            _add_pair_terms(h, m[:, e], -1.0)
+            _add_pair_terms(h, m[e, :], -1.0)
+        m[a, :] += m[b, :]
+        m[:, a] += m[:, b]
+        _add_pair_terms(h, m[:, a])
+        _add_pair_terms(h, m[a, :])
+        self.m = np.delete(np.delete(m, b, axis=0), b, axis=1)
+        self.h = np.delete(np.delete(h, b, axis=0), b, axis=1)
+        self.h[a, :] = self.h[:, a] = _third_class_row(self.m, a)
+
+    def losses(self):
+        """The incremental counterpart of `_merge_losses(self.m)`."""
+        m = self.m
+        k = len(m)
+        total = m.sum()
+        losses = np.full((k, k), np.inf)
+        iu = np.triu_indices(k, 1)
+        if total == 0:
+            losses[iu] = 0.0
+            return losses
+        gm = _g(m)
+        d = np.diag(m)
+        gd = np.diag(gm)
+        scaled = (self.h + gd[:, None] + gm + gm.T + gd[None, :]
+                  - _g(d[:, None] + m + m.T + d[None, :]))
+        _add_pair_terms(scaled, m.sum(axis=1), -1.0)
+        _add_pair_terms(scaled, m.sum(axis=0), -1.0)
+        losses[iu] = scaled[iu] / total
+        return losses
+
+    def best(self):
+        """The pair (a, b) that argmin over `_merge_losses(self.m)` picks:
+        the least loss, ties to the earliest pair.  Pairs whose incremental
+        loss is within rounding of the least are candidates, and each
+        candidate row is re-scored exactly by `_merge_loss_row`."""
+        if self.m.sum() == 0:
+            return 0, 1
+        losses = self.losses()
+        finite = losses[np.isfinite(losses)]
+        cutoff = finite.min() + 1e-9 * max(1.0, float(np.abs(finite).max()))
+        context = _loss_context(self.m)
+        best = None
+        for a in np.unique(np.nonzero(losses <= cutoff)[0]):
+            row = _merge_loss_row(self.m, a, context)
+            j = int(np.argmin(row))
+            candidate = (row[j], int(a), int(a) + 1 + j)
+            if best is None or candidate < best:
+                best = candidate
+        return best[1], best[2]
 
 
 def build_class_tree(symbols, bigrams, budget, window=256, fallback=None):
@@ -240,45 +386,30 @@ def build_class_tree(symbols, bigrams, budget, window=256, fallback=None):
 
     mass = full.sum(axis=1) + full.sum(axis=0)
     order = sorted(range(len(symbols)), key=lambda i: (-mass[i], symbols[i]))
-    queue = [[i] for i in order]  # members are symbol indices
-
-    active = queue[:max(2, window)]
-    queue = queue[len(active):]
-    trees = [symbols[members[0]] for members in active]
-    matrix = np.array([[full[np.ix_(a, b)].sum() for b in active] for a in active])
+    admitted = np.array(order[:max(2, window)])  # symbol indices
+    owner = np.arange(len(admitted))  # active class of each admitted symbol
+    trees = [symbols[i] for i in admitted]
+    losses = _MergeLosses(full[np.ix_(admitted, admitted)])
 
     merges = []
-    while len(active) > 1 or queue:
-        if len(active) < 2:
-            active, trees, matrix, queue = _admit(active, trees, matrix, queue,
-                                                  full, symbols)
-            continue
-        losses = _merge_losses(matrix)
-        a, b = np.unravel_index(int(np.argmin(losses)), losses.shape)
-        merges.append((frozenset(symbols[i] for i in active[a]),
-                       frozenset(symbols[i] for i in active[b])))
+    while len(trees) > 1:
+        a, b = losses.best()
+        merges.append((frozenset(symbols[i] for i in admitted[owner == a]),
+                       frozenset(symbols[i] for i in admitted[owner == b])))
         trees[a] = _Merge(trees[a], trees[b])
-        active[a] = active[a] + active[b]
-        matrix[a, :] += matrix[b, :]
-        matrix[:, a] += matrix[:, b]
-        matrix = np.delete(np.delete(matrix, b, axis=0), b, axis=1)
-        del active[b], trees[b]
-        if queue:
-            active, trees, matrix, queue = _admit(active, trees, matrix, queue,
-                                                  full, symbols)
+        del trees[b]
+        owner[owner == b] = a
+        owner[owner > b] -= 1
+        losses.merge(a, b)
+        if len(admitted) < len(order):
+            # Counts are integers, so summing them per class is exact.
+            new = order[len(admitted)]
+            k = len(trees)
+            losses.admit(
+                np.bincount(owner, weights=full[new, admitted], minlength=k),
+                np.bincount(owner, weights=full[admitted, new], minlength=k),
+                full[new, new])
+            trees.append(symbols[new])
+            admitted = np.append(admitted, new)
+            owner = np.append(owner, k)
     return _finish(trees[0], symbols, budget, fallback, merges)
-
-
-def _admit(active, trees, matrix, queue, full, symbols):
-    members = queue[0]
-    queue = queue[1:]
-    k = len(active)
-    grown = np.zeros((k + 1, k + 1), dtype=float)
-    grown[:k, :k] = matrix
-    for j, other in enumerate(active):
-        grown[k, j] = full[np.ix_(members, other)].sum()
-        grown[j, k] = full[np.ix_(other, members)].sum()
-    grown[k, k] = full[np.ix_(members, members)].sum()
-    active = active + [members]
-    trees = trees + [symbols[members[0]]]
-    return active, trees, grown, queue

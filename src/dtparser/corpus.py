@@ -181,36 +181,22 @@ class Vocabularies:
     """Symbol tables shared by every model.
 
     Words occurring fewer than `unk_threshold` times are only representable
-    as the reserved UNK symbol, which always has word id 0.  Tags and labels
-    are numbered independently of words and of each other.
+    as the reserved UNK symbol, which always comes first in `words`.
     """
 
-    words: list            # id -> symbol, words[0] == UNK
+    words: list            # kept words, words[0] == UNK
     word_counts: dict      # raw training counts, including rare words
     tags: list
     labels: list
     unk_threshold: int
-    _word_ids: dict = field(default_factory=dict, repr=False)
-    _tag_ids: dict = field(default_factory=dict, repr=False)
-    _label_ids: dict = field(default_factory=dict, repr=False)
+    _kept: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._word_ids = {w: i for i, w in enumerate(self.words)}
-        self._tag_ids = {t: i for i, t in enumerate(self.tags)}
-        self._label_ids = {l: i for i, l in enumerate(self.labels)}
+        self._kept = frozenset(self.words)
 
     def word_symbol(self, word):
         """Map a surface word to its modelled symbol (UNK when rare/unseen)."""
-        return word if word in self._word_ids else UNK
-
-    def word_id(self, word):
-        return self._word_ids.get(word, 0)
-
-    def tag_id(self, tag):
-        return self._tag_ids[tag]
-
-    def label_id(self, label):
-        return self._label_ids[label]
+        return word if word in self._kept else UNK
 
 
 def build_vocabularies(trees, unk_threshold=3):

@@ -92,12 +92,13 @@ class ModelSchema:
 
     def questions(self):
         """Every candidate question, in the canonical (slot, kind) order
-        used for deterministic tie-breaking."""
+        used for deterministic tie-breaking.  Bits at or beyond a class
+        tree's depth are 0 in every code, so they are never asked."""
         out = []
         for slot, (_, vkind) in enumerate(self.slots):
             out.append(Question(slot, "isnull"))
             if vkind in CATEGORICAL_KINDS:
-                for b in range(self.encoders[vkind].budget):
+                for b in range(self.encoders[vkind].depth):
                     out.append(Question(slot, "bit", b))
             else:
                 for t in self.thresholds:

@@ -62,6 +62,9 @@ def _classtree_data(tree):
 
 
 def _classtree_from(data):
+    # Training asks only the bits below a class tree's depth.
+    if any(bits >> data["depth"] for bits in data["codes"].values()):
+        raise ModelFileError("class tree has codes deeper than its depth")
     codes = {sym: BitString(bits=bits, width=data["budget"])
              for sym, bits in data["codes"].items()}
     return ClassTree(codes=codes, budget=data["budget"], depth=data["depth"],

@@ -42,7 +42,7 @@ class ModelSet:
     models: dict                   # decision kind -> SmoothedModel
     u_max: int
     renormalize: bool = False
-    _ctx: object = field(default=None, repr=False)
+    _ctx: object = field(default=None, init=False, repr=False, compare=False)
     _word_bounds: dict = field(default_factory=dict, init=False,
                                repr=False, compare=False)
 

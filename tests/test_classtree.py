@@ -6,8 +6,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dtparser.classtree import (BitString, ClassTree, _merge_losses,
+from dtparser.classtree import (BitString, ClassTree, _Merge, _MergeLosses,
+                                _finish, _merge_losses,
                                 average_mutual_information, build_class_tree,
                                 fixed_class_tree, null_code)
 from dtparser.errors import EmptyVocabulary, UnknownId
@@ -70,6 +73,72 @@ def test_merge_losses_match_direct_ami_difference():
             direct = (average_mutual_information(m)
                       - average_mutual_information(merged))
             assert losses[a, b] == pytest.approx(direct, abs=1e-12)
+
+
+# Mostly zeros, so that rows, columns and whole matrices are often empty.
+COUNTS = st.sampled_from([0, 0, 0, 0, 1, 2, 3, 7, 40, 1000])
+
+
+def _count_lists(data, k):
+    return [float(c) for c in data.draw(st.lists(COUNTS, min_size=k, max_size=k))]
+
+
+def _assert_tracks_the_oracle(losses, reference):
+    assert np.array_equal(losses.m, reference)
+    oracle = _merge_losses(reference)
+    incremental = losses.losses()
+    assert np.array_equal(np.isinf(incremental), np.isinf(oracle))
+    finite = np.isfinite(oracle)
+    assert np.abs(incremental[finite] - oracle[finite]).max(initial=0.0) <= 1e-12
+    if len(reference) > 1:
+        a, b = np.unravel_index(int(np.argmin(oracle)), oracle.shape)
+        assert losses.best() == (a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_incremental_losses_track_the_oracle(data):
+    """Through merges and admissions the kept-up-to-date losses stay within
+    rounding of a full recompute, and the pick is the oracle's argmin."""
+    k = data.draw(st.integers(1, 6))
+    reference = np.array([_count_lists(data, k) for _ in range(k)])
+    losses = _MergeLosses(reference)
+    _assert_tracks_the_oracle(losses, reference)
+    for _ in range(data.draw(st.integers(0, 8))):
+        k = len(reference)
+        if k > 1 and data.draw(st.booleans()):
+            a = data.draw(st.integers(0, k - 2))
+            b = data.draw(st.integers(a + 1, k - 1))
+            losses.merge(a, b)
+            reference[a, :] += reference[b, :]
+            reference[:, a] += reference[:, b]
+            reference = np.delete(np.delete(reference, b, axis=0), b, axis=1)
+        else:
+            row, col = _count_lists(data, k), _count_lists(data, k)
+            self_count = float(data.draw(COUNTS))
+            losses.admit(np.array(row), np.array(col), self_count)
+            reference = np.block([[reference, np.array(col)[:, None]],
+                                  [np.array(row + [self_count])[None, :]]])
+        _assert_tracks_the_oracle(losses, reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_exact_ties_break_like_the_oracle(data):
+    """Twin classes (equal counts) tie in exact arithmetic but not always
+    after rounding; the pick must still be the oracle's."""
+    k = data.draw(st.integers(1, 3))
+    base = np.array([_count_lists(data, k) for _ in range(k)])
+    twins = np.kron(base, np.ones((data.draw(st.integers(2, 3)),) * 2))
+    order = data.draw(st.permutations(range(len(twins))))
+    twins = twins[np.ix_(order, order)]
+    _assert_tracks_the_oracle(_MergeLosses(twins), twins)
+
+
+def test_zero_total_picks_the_first_pair():
+    losses = _MergeLosses(np.zeros((3, 3)))
+    assert losses.best() == (0, 1)
+    assert np.array_equal(losses.losses(), _merge_losses(np.zeros((3, 3))))
 
 
 # --- greedy agglomerative growing ---
@@ -202,3 +271,47 @@ def test_export_text():
     tree = ClassTree(codes={"b": BitString(1, 2), "a": BitString(2, 2)},
                      budget=2, depth=2, truncated=False)
     assert tree.export_text() == "a\t01\nb\t10\n"
+
+
+def _reference_tree(symbols, bigrams, budget, window):
+    """Greedy growing with every count matrix rebuilt from the bigrams and
+    every loss recomputed by `_merge_losses`."""
+    index = {sym: i for i, sym in enumerate(symbols)}
+    full = np.zeros((len(symbols), len(symbols)))
+    for (a, b), count in bigrams.items():
+        full[index[a], index[b]] += count
+    mass = full.sum(axis=1) + full.sum(axis=0)
+    order = sorted(range(len(symbols)), key=lambda i: (-mass[i], symbols[i]))
+    queue = [[i] for i in order]
+    active, queue = queue[:max(2, window)], queue[max(2, window):]
+    trees = [symbols[members[0]] for members in active]
+    merges = []
+    while len(active) > 1:
+        matrix = np.array([[full[np.ix_(a, b)].sum() for b in active]
+                           for a in active])
+        losses = _merge_losses(matrix)
+        a, b = np.unravel_index(int(np.argmin(losses)), losses.shape)
+        merges.append((frozenset(symbols[i] for i in active[a]),
+                       frozenset(symbols[i] for i in active[b])))
+        trees[a] = _Merge(trees[a], trees[b])
+        active[a] = active[a] + active[b]
+        del active[b], trees[b]
+        if queue:
+            active.append(queue.pop(0))
+            trees.append(symbols[active[-1][0]])
+    return _finish(trees[0], symbols, budget, None, merges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 14), st.integers(2, 5),
+       st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13),
+                          st.integers(1, 9)), max_size=60))
+def test_growing_equals_the_recomputing_reference(n, window, pairs):
+    symbols = [f"w{i}" for i in range(n)]
+    bigrams = Counter()
+    for a, b, count in pairs:
+        bigrams[symbols[a % n], symbols[b % n]] += count
+    tree = build_class_tree(symbols, bigrams, budget=16, window=window)
+    reference = _reference_tree(symbols, bigrams, 16, window)
+    assert tree.merges == reference.merges
+    assert tree.export_text() == reference.export_text()

@@ -157,3 +157,13 @@ def test_classes_file_round_trip(toy_model_set, tmp_path):
 def test_classes_file_rejects_model_magic(saved):
     with pytest.raises(ModelFileError, match="magic"):
         modelfile.load_classes(saved)
+
+
+def test_classes_file_rejects_codes_beyond_the_depth(toy_model_set, tmp_path):
+    path = tmp_path / "toy.classes"
+    modelfile.save_classes(toy_model_set.vocab, toy_model_set.class_trees, path)
+    data = json.loads(path.read_text())
+    data["class_trees"]["tag"]["depth"] -= 1
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelFileError, match="depth"):
+        modelfile.load_classes(path)
