@@ -1,10 +1,9 @@
 """Binary class trees: fixed-width bit encodings of vocabulary symbols.
 
 A class tree is a binary hierarchy over a vocabulary.  Each symbol's
-encoding reads the branch taken at every depth from the root: bit b is
-the branch at depth b, padded with zeros beyond the symbol's leaf.  The
-missing value encodes to a reserved all-null pseudo-string distinct from
-every real code.
+code is a plain int that reads the branch taken at every depth from the
+root: bit b is the branch at depth b, zero beyond the symbol's leaf.  A
+missing value has no code; the encoders mark it in a separate nulls mask.
 
 Trees are grown bottom-up by greedy agglomerative merging: start with
 every symbol in its own class and repeatedly merge the pair of classes
@@ -26,7 +25,6 @@ recomputing all losses would give.
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -35,32 +33,26 @@ from .errors import EmptyVocabulary, UnknownId
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class BitString:
-    """A fixed-width code; bit b is the branch taken at depth b."""
+class _Codes(dict):
+    """Symbol -> code; a symbol the table lacks takes the fallback
+    symbol's code, or raises UnknownId when there is none."""
 
-    bits: int
-    width: int
-    null: bool = False
+    __slots__ = ("fallback",)
 
-    def bit(self, b):
-        if not 0 <= b < self.width:
-            raise IndexError(f"bit {b} outside width {self.width}")
-        return (self.bits >> b) & 1
+    def __init__(self, codes, fallback):
+        super().__init__(codes)
+        self.fallback = fallback
 
-    def as_text(self):
-        if self.null:
-            return "-" * self.width
-        return "".join(str(self.bit(b)) for b in range(self.width))
-
-
-def null_code(width):
-    return BitString(bits=0, width=width, null=True)
+    def __missing__(self, symbol):
+        code = self.get(self.fallback)
+        if code is None:
+            raise UnknownId(f"symbol {symbol!r} not covered by this class tree")
+        return code
 
 
 @dataclass
 class ClassTree:
-    """Symbol -> BitString table plus the merge history that built it."""
+    """Symbol -> int code table plus the merge history that built it."""
 
     codes: dict
     budget: int
@@ -69,37 +61,15 @@ class ClassTree:
     fallback: str = None       # symbol substituted for out-of-vocabulary lookups
     merges: list = field(default_factory=list)  # [(frozenset, frozenset), ...]
 
-    def encode(self, symbol):
-        """The BitString of `symbol`; None encodes to the null pseudo-string."""
-        if symbol is None:
-            return null_code(self.budget)
-        code = self.codes.get(symbol)
-        if code is None:
-            if self.fallback is not None:
-                return self.codes[self.fallback]
-            raise UnknownId(f"symbol {symbol!r} not covered by this class tree")
-        return code
-
-    @cached_property
-    def code_table(self):
-        """Symbol -> code bits as one dict lookup, built on first use; a
-        symbol the table lacks is looked up through `encode`, so it takes
-        the fallback's code or raises UnknownId."""
-        table = _CodeTable((sym, code.bits) for sym, code in self.codes.items())
-        table.tree = self
-        return table
+    def __post_init__(self):
+        self.codes = _Codes(self.codes, self.fallback)
 
     def export_text(self):
-        """`symbol TAB bitstring` lines, one per vocabulary symbol."""
-        return "\n".join(f"{sym}\t{code.as_text()}"
-                         for sym, code in sorted(self.codes.items())) + "\n"
-
-
-class _CodeTable(dict):
-    __slots__ = ("tree",)
-
-    def __missing__(self, symbol):
-        return self.tree.encode(symbol).bits
+        """`symbol TAB bitstring` lines, one per vocabulary symbol;
+        character b of the bitstring is bit b of the code."""
+        return "\n".join(
+            sym + "\t" + "".join(str(code >> b & 1) for b in range(self.budget))
+            for sym, code in sorted(self.codes.items())) + "\n"
 
 
 class _Merge:
@@ -137,9 +107,9 @@ def _finish(tree, symbols, budget, fallback, merges):
     if truncated:
         log.warning("class tree depth exceeds %d bits; codes truncated "
                     "and may collide", budget)
-    codes = {sym: BitString(bits=raw[sym], width=budget) for sym in symbols}
+    codes = {sym: raw[sym] for sym in symbols}
     if not truncated:
-        assert len({c.bits for c in codes.values()}) == len(codes), \
+        assert len(set(codes.values())) == len(codes), \
             "untruncated class-tree codes must be injective"
     return ClassTree(codes=codes, budget=budget, depth=depth,
                      truncated=truncated, fallback=fallback, merges=merges)
@@ -153,8 +123,7 @@ def fixed_class_tree(symbols, budget, fallback=None):
         raise EmptyVocabulary("cannot build a class tree over nothing")
     if len(symbols) > (1 << budget):
         raise ValueError(f"{len(symbols)} symbols do not fit in {budget} bits")
-    codes = {sym: BitString(bits=i, width=budget)
-             for i, sym in enumerate(symbols)}
+    codes = {sym: i for i, sym in enumerate(symbols)}
     depth = max(1, (len(symbols) - 1).bit_length())
     return ClassTree(codes=codes, budget=budget, depth=depth, truncated=False,
                      fallback=fallback, merges=[])

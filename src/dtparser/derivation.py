@@ -330,14 +330,6 @@ def word_histories(word, unknown):
     return tag, extension
 
 
-def format_event(event):
-    """One-line dump: `kind TAB future TAB slot=value,...` (non-null slots)."""
-    names = [name for name, _ in slot_layout(event.kind)]
-    shown = ",".join(f"{name}={value}" for name, value
-                     in zip(names, event.history) if value is not None)
-    return f"{event.kind}\t{event.future}\t{shown}"
-
-
 # --- encoding trees to events and back ---
 
 class _GoldNode:

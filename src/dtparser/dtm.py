@@ -5,8 +5,8 @@ to a leaf and reading off a smoothed distribution.  Histories are fixed
 slot tuples; every question asks one yes/no fact about one slot:
 
 * ``isnull``  -- is the slot value missing?
-* ``bit b``   -- is bit b of the slot's class-tree code set?  (Missing
-  values answer no: they carry the reserved all-null pseudo-code.)
+* ``bit b``   -- is bit b of the slot's class-tree code set?  A code is
+  a plain int; a missing value has none, so it answers no.
 * ``le t``    -- is the numeric slot value <= t?
 
 Trees are grown by recursive greedy splitting on the question with the
@@ -21,11 +21,13 @@ future keeps nonzero probability.  The lambdas are tied across nodes in
 buckets of floor(log2(training count)) and fit by expectation
 maximisation on held-out events.
 
-Growing encodes every slot of every event at once (`encode_events`).
-Prediction, and the held-out grouping in `smooth`, instead follow a
-`FlatTree`: the grown tree as flat per-node lists, which `walk` follows
-encoding only the slot each question on its path reads, through one
-symbol -> code table per class tree.
+Growing encodes every slot of every event at once, column by column
+(`encode_histories`): an int code array and a nulls mask that marks the
+missing values.  Prediction, and the held-out grouping in `smooth`,
+instead follow a `FlatTree`: the grown tree as flat per-node lists, which
+`walk` follows encoding only the slot each question on its path reads.
+Both look codes up in the one symbol -> int table of each class tree,
+`ClassTree.codes`.
 """
 
 import logging
@@ -60,23 +62,6 @@ class Question:
             return ((slot_vals >> self.arg) & 1).astype(bool) & ~slot_nulls
         return (slot_vals <= self.arg) & ~slot_nulls
 
-    def answer(self, value, null):
-        if self.kind == "isnull":
-            return bool(null)
-        if null:
-            return False
-        if self.kind == "bit":
-            return bool((value >> self.arg) & 1)
-        return value <= self.arg
-
-    def describe(self, schema):
-        name = schema.slots[self.slot][0]
-        if self.kind == "isnull":
-            return f"{name} is null?"
-        if self.kind == "bit":
-            return f"{name} bit {self.arg}?"
-        return f"{name} <= {self.arg}?"
-
 
 class ModelSchema:
     """Slot layout, value encoders and future vocabulary of one model."""
@@ -105,30 +90,36 @@ class ModelSchema:
                     out.append(Question(slot, "le", t))
         return out
 
-    def encode_value(self, vkind, value):
-        if value is None:
-            return 0, True
-        if vkind in CATEGORICAL_KINDS:
-            return self.encoders[vkind].encode(value).bits, False
-        return int(value), False
-
-    def encode_history(self, history):
-        if len(history) != len(self.slots):
-            raise SlotLayoutMismatch(
-                f"history has {len(history)} slots, schema expects {len(self.slots)}")
-        vals = np.zeros(len(self.slots), dtype=np.int64)
-        nulls = np.zeros(len(self.slots), dtype=bool)
-        for i, ((_, vkind), value) in enumerate(zip(self.slots, history)):
-            vals[i], nulls[i] = self.encode_value(vkind, value)
+    def encode_histories(self, histories):
+        """Codes and nulls mask, one row per history, filled one slot
+        column at a time: a categorical value's code comes from its class
+        tree's table, a numeric value is its own code, and a missing value
+        is code 0 with its null flag set."""
+        width = len(self.slots)
+        for history in histories:
+            if len(history) != width:
+                raise SlotLayoutMismatch(
+                    f"history has {len(history)} slots, schema expects {width}")
+        vals = np.zeros((len(histories), width), dtype=np.int64)
+        nulls = np.zeros((len(histories), width), dtype=bool)
+        for i, (_, vkind) in enumerate(self.slots):
+            column = [history[i] for history in histories]
+            code = (self.encoders[vkind].codes.__getitem__
+                    if vkind in CATEGORICAL_KINDS else int)
+            vals[:, i] = [0 if value is None else code(value)
+                          for value in column]
+            nulls[:, i] = [value is None for value in column]
         return vals, nulls
 
+    def encode_history(self, history):
+        """`encode_histories` of the one history: its codes and nulls."""
+        vals, nulls = self.encode_histories([history])
+        return vals[0], nulls[0]
+
     def encode_events(self, events):
-        vals = np.zeros((len(events), len(self.slots)), dtype=np.int64)
-        nulls = np.zeros((len(events), len(self.slots)), dtype=bool)
-        futures = np.zeros(len(events), dtype=np.int64)
-        for e, event in enumerate(events):
-            vals[e], nulls[e] = self.encode_history(event.history)
-            futures[e] = self.future_index[event.future]
+        vals, nulls = self.encode_histories([event.history for event in events])
+        futures = np.array([self.future_index[event.future] for event in events],
+                           dtype=np.int64)
         return vals, nulls, futures
 
 
@@ -265,9 +256,9 @@ def as_forced_order_tree(schema, questions, events):
     return root
 
 
-# How a node of a FlatTree answers; a question kind other than these two
-# is answered as `le`.
+# How a node of a FlatTree answers, by question kind.
 _ISNULL, _BIT, _LE = 0, 1, 2
+QUESTION_KINDS = {"isnull": _ISNULL, "bit": _BIT, "le": _LE}
 
 
 class FlatTree:
@@ -277,9 +268,9 @@ class FlatTree:
     node asks question kind `kinds[i]` with argument `args[i]` of history
     slot `slots[i]` and goes on to node `yes[i]` or `no[i]` (-1 for a
     branch never built); a leaf has slot -1.  `tables[i]` encodes the
-    slot's value: the class tree's code table, one per value kind and
-    shared by every slot and node of that kind, or None for a numeric
-    slot, whose value is its own code.
+    slot's value: the class tree's `codes`, one per value kind and shared
+    by every slot and node of that kind, or None for a numeric slot,
+    whose value is its own code.
     """
 
     __slots__ = ("nodes", "width", "slots", "kinds", "args", "tables",
@@ -290,7 +281,6 @@ class FlatTree:
         self.width = len(schema.slots)
         self.slots, self.kinds, self.args, self.tables = [], [], [], []
         self.yes, self.no = [], []
-        kind_codes = {"isnull": _ISNULL, "bit": _BIT}
         stack = [(root, None, 0)]  # node, its parent's child list, parent
         while stack:
             node, branch, parent = stack.pop()
@@ -309,9 +299,9 @@ class FlatTree:
                 continue
             vkind = schema.slots[q.slot][1]
             self.slots.append(q.slot)
-            self.kinds.append(kind_codes.get(q.kind, _LE))
+            self.kinds.append(QUESTION_KINDS[q.kind])
             self.args.append(q.arg)
-            self.tables.append(schema.encoders[vkind].code_table
+            self.tables.append(schema.encoders[vkind].codes
                                if vkind in CATEGORICAL_KINDS else None)
             if node.no is not None:
                 stack.append((node.no, self.no, i))
@@ -432,9 +422,6 @@ class SmoothedModel:
             assert abs(dist.sum() - 1.0) <= 1e-9, "smoothed mass must be 1"
             assert dist.min() > 0.0, "smoothed distributions must be positive"
 
-    def leaf_for(self, history):
-        return self.nodes[walk(self.tree, history)]
-
     def predict(self, history):
         """Probabilities over `schema.futures` (read-only array)."""
         return self.smoothed[walk(self.tree, history)]
@@ -539,14 +526,3 @@ def smooth(root, heldout_events, schema, config):
     bucket_lambdas = {b: float(lam[bucket_pos[b]]) for b in buckets}
     return SmoothedModel(schema, root, bucket_lambdas, heldout_used=True,
                          em_log=em_log)
-
-
-def dump_tree(root, schema):
-    """`node_id question|LEAF lambda_bucket sparse-counts` lines."""
-    lines = []
-    for node in iter_nodes(root):
-        what = node.question.describe(schema) if not node.is_leaf else "LEAF"
-        sparse = " ".join(f"{schema.futures[i]}:{int(c)}"
-                          for i, c in enumerate(node.counts) if c)
-        lines.append(f"{node.node_id}\t{what}\t{_bucket(node)}\t{sparse}")
-    return "\n".join(lines) + "\n"

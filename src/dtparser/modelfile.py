@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from . import derivation, dtm
-from .classtree import BitString, ClassTree
+from .classtree import ClassTree
 from .config import Config
 from .corpus import Vocabularies
 from .errors import ModelFileError
@@ -57,18 +57,32 @@ def _classtree_data(tree):
         "depth": tree.depth,
         "truncated": tree.truncated,
         "fallback": tree.fallback,
-        "codes": {sym: code.bits for sym, code in tree.codes.items()},
+        "codes": tree.codes,
     }
 
 
+def _is_int(value):
+    return type(value) is int  # bool is an int subclass; JSON true is no int
+
+
 def _classtree_from(data):
+    depth, budget, codes = data["depth"], data["budget"], data["codes"]
+    if not (_is_int(depth) and _is_int(budget) and 0 <= depth <= budget):
+        raise ModelFileError(
+            f"class tree depth {depth!r} is not an int within its budget "
+            f"{budget!r}")
     # Training asks only the bits below a class tree's depth.
-    if any(bits >> data["depth"] for bits in data["codes"].values()):
-        raise ModelFileError("class tree has codes deeper than its depth")
-    codes = {sym: BitString(bits=bits, width=data["budget"])
-             for sym, bits in data["codes"].items()}
-    return ClassTree(codes=codes, budget=data["budget"], depth=data["depth"],
-                     truncated=data["truncated"], fallback=data["fallback"])
+    if not all(_is_int(code) and 0 <= code < 1 << depth
+               for code in codes.values()):
+        raise ModelFileError(
+            f"class tree has a code that is not an int in [0, 2**depth), "
+            f"depth {depth}")
+    fallback = data["fallback"]
+    if fallback is not None and fallback not in codes:
+        raise ModelFileError(
+            f"class tree fallback {fallback!r} is not one of its symbols")
+    return ClassTree(codes=codes, budget=budget, depth=depth,
+                     truncated=data["truncated"], fallback=fallback)
 
 
 def _head_rules_data(heads):
@@ -105,6 +119,18 @@ def _model_data(model):
     }
 
 
+def _question_from(q, schema):
+    if not (isinstance(q, list) and len(q) == 3
+            and q[1] in dtm.QUESTION_KINDS and _is_int(q[0])
+            and 0 <= q[0] < len(schema.slots) and _is_int(q[2])):
+        raise ModelFileError(
+            f"{schema.kind} model has an invalid question {q!r}: expected "
+            f"[slot below {len(schema.slots)}, one of "
+            f"{'/'.join(dtm.QUESTION_KINDS)}, int]")
+    slot, kind, arg = q
+    return dtm.Question(slot=slot, kind=kind, arg=arg)
+
+
 def _model_from(data, schema):
     n_futures = len(schema.futures)
     entries = data["nodes"]
@@ -117,8 +143,7 @@ def _model_from(data, schema):
         node = dtm.DTNode(counts, total=sum(entry["counts"].values()))
         nxt = pos + 1
         if entry["q"] is not None:
-            slot, kind, arg = entry["q"]
-            node.question = dtm.Question(slot=slot, kind=kind, arg=arg)
+            node.question = _question_from(entry["q"], schema)
             node.yes, nxt = build(nxt)
             node.no, nxt = build(nxt)
         return node, nxt

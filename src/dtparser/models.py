@@ -62,7 +62,7 @@ class ModelSet:
         code, which is all of the word the models can read."""
         if self.renormalize:
             return 0.0, 0.0
-        code = self.class_trees["word"].code_table[word]
+        code = self.class_trees["word"].codes[word]
         bound = self._word_bounds.get(code)
         if bound is None:
             tag, extension = derivation.word_histories(word, dtm.UNKNOWN)

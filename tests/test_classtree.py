@@ -9,36 +9,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtparser.classtree import (BitString, ClassTree, _Merge, _MergeLosses,
-                                _finish, _merge_losses,
-                                average_mutual_information, build_class_tree,
-                                fixed_class_tree, null_code)
+from dtparser.classtree import (ClassTree, _Merge, _MergeLosses, _finish,
+                                _merge_losses, average_mutual_information,
+                                build_class_tree, fixed_class_tree)
+from dtparser.dtm import ModelSchema, Question
 from dtparser.errors import EmptyVocabulary, UnknownId
 
 
 def test_bitstring_bits_and_text():
-    code = BitString(bits=0b101, width=4)
-    assert [code.bit(b) for b in range(4)] == [1, 0, 1, 0]
-    assert code.as_text() == "1010"
-    with pytest.raises(IndexError):
-        code.bit(4)
+    # a code is a plain int: bit b is the branch at depth b, which a bit
+    # question reads, and character b of the exported text
+    tree = ClassTree(codes={"c": 0b101}, budget=4, depth=3, truncated=False)
+    code = np.array([tree.codes["c"]])
+    nulls = np.zeros(1, dtype=bool)
+    assert [int(Question(0, "bit", b).answer_array(code, nulls)[0])
+            for b in range(4)] == [1, 0, 1, 0]
+    # padded with zeros to the budget
+    assert tree.export_text() == "c\t1010\n"
 
 
 def test_null_code_is_distinct_from_every_real_code():
-    null = null_code(3)
-    assert null.null
-    assert null.as_text() == "---"
+    # a missing value has no code of its own: it is code 0, like "a", but
+    # flagged in the nulls mask, which `isnull` reads and every bit
+    # question answers no for
     tree = fixed_class_tree(["a", "b"], 3)
-    assert null.as_text() not in {c.as_text() for c in tree.codes.values()}
+    schema = ModelSchema("tag", (("A", "tag"),), {"tag": tree}, ("x",))
+    vals, nulls = schema.encode_histories([(None,), ("a",), ("b",)])
+    assert vals[:, 0].tolist() == [0, 0, 1]
+    assert nulls[:, 0].tolist() == [True, False, False]
+    isnull = Question(0, "isnull").answer_array(vals[:, 0], nulls[:, 0])
+    assert isnull.tolist() == [True, False, False]
+    for b in range(tree.depth):
+        bit = Question(0, "bit", b).answer_array(vals[:, 0], nulls[:, 0])
+        assert not bit[0]
 
 
 def test_fixed_class_tree_uses_index_bits():
     tree = fixed_class_tree(("right", "left", "up", "unary", "root"), 3)
-    assert [tree.encode(s).bits for s in
+    assert [tree.codes[s] for s in
             ("right", "left", "up", "unary", "root")] == [0, 1, 2, 3, 4]
+    assert all(type(code) is int for code in tree.codes.values())
     assert tree.depth == 3
     assert not tree.truncated
-    assert tree.encode(None).null
 
 
 def test_fixed_class_tree_capacity():
@@ -157,7 +169,7 @@ def test_profile_twins_merge_first():
     assert len(tree.merges) == 3  # n - 1 merges in total
     assert tree.depth == 2
     # the final merge splits {a,b} from {c,d} at the root bit
-    bit0 = {sym: tree.encode(sym).bit(0) for sym in "abcd"}
+    bit0 = {sym: tree.codes[sym] & 1 for sym in "abcd"}
     assert bit0["a"] == bit0["b"] != bit0["c"] == bit0["d"]
 
 
@@ -219,13 +231,13 @@ def test_windowed_growing_covers_everything():
     tree = build_class_tree(symbols, bigrams, budget=8, window=3)
     assert set(tree.codes) == set(symbols)
     assert len(tree.merges) == len(symbols) - 1
-    codes = [c.bits for c in tree.codes.values()]
+    codes = list(tree.codes.values())
     assert len(set(codes)) == len(codes)
 
 
 def test_untruncated_codes_are_injective():
     tree = build_class_tree(["a", "b", "c", "d"], PAIRED_BIGRAMS, budget=4)
-    codes = [c.bits for c in tree.codes.values()]
+    codes = list(tree.codes.values())
     assert len(set(codes)) == len(codes)
 
 
@@ -235,17 +247,20 @@ def test_truncation_flag(caplog):
                enumerate((x, y) for x in symbols for y in symbols)}
     tree = build_class_tree(symbols, bigrams, budget=2)
     assert tree.truncated
-    assert all(c.width == 2 for c in tree.codes.values())
+    assert all(0 <= c < 4 for c in tree.codes.values())
+    assert all(len(line.split("\t")[1]) == 2
+               for line in tree.export_text().splitlines())
     assert any("truncated" in r.message for r in caplog.records)
 
 
 def test_fallback_symbol():
     tree = build_class_tree(["<unk>", "x", "y"], {("x", "y"): 2}, budget=4,
                             fallback="<unk>")
-    assert tree.encode("never-seen") == tree.codes["<unk>"]
+    assert tree.codes["never-seen"] == tree.codes["<unk>"]
+    assert "never-seen" not in tree.codes
     strict = build_class_tree(["x", "y"], {("x", "y"): 2}, budget=4)
     with pytest.raises(UnknownId):
-        strict.encode("never-seen")
+        strict.codes["never-seen"]
     with pytest.raises(UnknownId):
         build_class_tree(["x"], {}, budget=2, fallback="absent")
 
@@ -268,8 +283,8 @@ def test_growing_is_deterministic():
 
 
 def test_export_text():
-    tree = ClassTree(codes={"b": BitString(1, 2), "a": BitString(2, 2)},
-                     budget=2, depth=2, truncated=False)
+    tree = ClassTree(codes={"b": 1, "a": 2}, budget=2, depth=2,
+                     truncated=False)
     assert tree.export_text() == "a\t01\nb\t10\n"
 
 

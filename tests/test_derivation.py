@@ -15,8 +15,7 @@ from dtparser.corpus import RawLeaf, format_tree, parse_tree
 from dtparser.derivation import (KIND_EXTENSION, KIND_LABEL,
                                  KIND_TAG, TAG_LABEL, DerivationContext,
                                  apply_action, decode, encode,
-                                 extract_history, format_event,
-                                 initial_state, legal_actions,
+                                 extract_history, initial_state, legal_actions,
                                  max_unary_chain, replay, slot_layout,
                                  to_raw_tree)
 from dtparser.errors import (DeadEnd, EmptyInput, IllegalAction,
@@ -319,12 +318,16 @@ def test_incomplete_event_sequence_rejected():
         decode([l.word for l in _leaves(tree)], events[:-1], ctx)
 
 
-def test_format_event():
+def test_first_event_history():
     ctx = DerivationContext(tags=("T",), labels=("X",),
                             heads=default_head_rules(), u_max=4)
     event = encode(parse_tree("(X a_T)"), ctx)[0]
-    assert format_event(event) == \
-        "tag\tT\tcur.word=a,cur.label=<tag>,cur.nch=0,cur.width=1"
+    assert (event.kind, event.future) == ("tag", "T")
+    names = [name for name, _ in slot_layout(event.kind)]
+    shown = {name: value for name, value in zip(names, event.history)
+             if value is not None}
+    assert shown == {"cur.word": "a", "cur.label": "<tag>", "cur.nch": 0,
+                     "cur.width": 1}
 
 
 def test_head_word_propagates_through_labels():

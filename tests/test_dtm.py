@@ -11,8 +11,8 @@ from dtparser.classtree import fixed_class_tree
 from dtparser.config import Config
 from dtparser.derivation import DerivationEvent
 from dtparser.dtm import (FlatTree, ModelSchema, Question, SmoothedModel,
-                          as_forced_order_tree, dump_tree, grow, iter_nodes,
-                          smooth, walk)
+                          as_forced_order_tree, grow, iter_nodes, smooth,
+                          walk)
 from dtparser.errors import NoEvents, SlotLayoutMismatch
 
 CFG = Config(min_events=2, min_gain=0.01)
@@ -112,13 +112,19 @@ def test_isnull_beats_an_equivalent_numeric_cut():
     assert grow(events, schema, CFG).question == Question(0, "isnull", 0)
 
 
+def _node_summary(root):
+    """(node id, question, counts) per node, in preorder."""
+    return [(node.node_id, node.question, node.counts.tolist())
+            for node in iter_nodes(root)]
+
+
 def test_growing_is_deterministic():
     rng = random.Random(9)
     schema = numeric_schema("A", "B", "C")
     events = [ev((rng.randrange(4), rng.randrange(4), rng.randrange(4)),
                  rng.choice("xy")) for _ in range(200)]
-    assert dump_tree(grow(events, schema, CFG), schema) == \
-        dump_tree(grow(events, schema, CFG), schema)
+    assert _node_summary(grow(events, schema, CFG)) == \
+        _node_summary(grow(events, schema, CFG))
 
 
 def test_no_events():
@@ -135,21 +141,26 @@ def test_history_length_is_checked():
         schema.encode_history((1,))
 
 
-def test_dump_tree():
+def test_grown_nodes_questions_and_counts():
     schema = numeric_schema("A")
     events = [ev((1,), "x")] * 4 + [ev((2,), "y")] * 4
-    assert dump_tree(grow(events, schema, CFG), schema) == (
-        "0\tA <= 1?\t3\tx:4 y:4\n"
-        "1\tLEAF\t2\tx:4\n"
-        "2\tLEAF\t2\ty:4\n")
+    assert _node_summary(grow(events, schema, CFG)) == [
+        (0, Question(0, "le", 1), [4, 4]),
+        (1, None, [4, 0]),
+        (2, None, [0, 4])]
 
 
-def test_question_describe():
+def test_histories_encode_column_by_column():
+    tree = fixed_class_tree(["a", "b", "c"], 2)
     schema = ModelSchema("tag", (("A", "count"), ("B", "tag")),
-                         {"tag": fixed_class_tree(["a", "b"], 2)}, ("x",))
-    assert Question(0, "le", 3).describe(schema) == "A <= 3?"
-    assert Question(1, "bit", 1).describe(schema) == "B bit 1?"
-    assert Question(0, "isnull").describe(schema) == "A is null?"
+                         {"tag": tree}, ("x",))
+    vals, nulls = schema.encode_histories([(3, "c"), (None, "b"), (0, None)])
+    assert vals.tolist() == [[3, 2], [0, 1], [0, 0]]
+    assert nulls.tolist() == [[False, False], [True, False], [False, True]]
+    for row, history in enumerate([(3, "c"), (None, "b"), (0, None)]):
+        one_vals, one_nulls = schema.encode_history(history)
+        assert one_vals.tolist() == vals[row].tolist()
+        assert one_nulls.tolist() == nulls[row].tolist()
 
 
 # --- forced-order trees are n-gram lookup tables ---
@@ -331,7 +342,7 @@ def test_predict_walks_to_the_right_leaf():
     yes = model.predict((1,))
     no = model.predict((2,))
     assert yes[schema.future_index["x"]] > no[schema.future_index["x"]]
-    assert model.leaf_for((0,)).node_id == model.leaf_for((1,)).node_id
+    assert walk(model.tree, (0,)) == walk(model.tree, (1,))
 
 
 def test_iter_nodes_is_preorder():

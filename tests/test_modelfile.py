@@ -1,5 +1,6 @@
 """Model persistence: bit-exact round trips and corruption detection."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -87,6 +88,16 @@ def test_saving_twice_is_deterministic(toy_model_set, saved, tmp_path):
     assert again.read_bytes() == saved.read_bytes()
 
 
+# SHA-256 of the conftest toy model file, as saved with Python 3.11.7 and
+# numpy 2.4.6.  A change that alters any byte of a saved model changes it.
+TOY_MODEL_SHA256 = \
+    "65fbabdd6270696f10810cc4984c2f934607053c091d85143f9ef1d1e4d07af6"
+
+
+def test_toy_model_file_bytes_are_pinned(saved):
+    assert hashlib.sha256(saved.read_bytes()).hexdigest() == TOY_MODEL_SHA256
+
+
 def _rewrite(saved, tmp_path, mutate):
     envelope = json.loads(saved.read_text())
     mutate(envelope)
@@ -167,3 +178,78 @@ def test_classes_file_rejects_codes_beyond_the_depth(toy_model_set, tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ModelFileError, match="depth"):
         modelfile.load_classes(path)
+
+
+def _resealed(saved, tmp_path, section, mutate):
+    """The saved model with `mutate` applied to one section's data and that
+    section's checksum recomputed, so only the content checks can object."""
+    def reseal(envelope):
+        wrapped = envelope["sections"][section]
+        mutate(wrapped["data"])
+        wrapped["sha256"] = modelfile._checksum(wrapped["data"])
+    return _rewrite(saved, tmp_path, reseal)
+
+
+def _first_code(data, kind, value):
+    codes = data[kind]["codes"]
+    codes[next(iter(codes))] = value
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: _first_code(d, "tag", "1"),
+    lambda d: _first_code(d, "tag", 1.0),
+    lambda d: _first_code(d, "tag", True),
+    lambda d: _first_code(d, "tag", -1),
+    lambda d: d["tag"].update(depth=d["tag"]["budget"] + 1),
+    lambda d: d["word"].update(fallback="no such word"),
+], ids=["string-code", "float-code", "bool-code", "negative-code",
+        "depth-over-budget", "uncovered-fallback"])
+def test_malformed_class_tree_is_rejected(saved, tmp_path, mutate):
+    path = _resealed(saved, tmp_path, "class_trees", mutate)
+    with pytest.raises(ModelFileError, match="class tree"):
+        modelfile.load_model_set(path)
+
+
+def test_uncovered_fallback_exits_with_a_data_error(saved, tmp_path, capsys):
+    path = _resealed(saved, tmp_path, "class_trees",
+                     lambda d: d["word"].update(fallback="no such word"))
+    (tmp_path / "in.txt").write_text("an unheardof word\n")
+    assert cli.main(["parse", str(path), str(tmp_path / "in.txt")]) == \
+        cli.EXIT_DATA
+    assert "fallback" in capsys.readouterr().err
+
+
+def _first_question(data, kind, position, value):
+    for entry in data[kind]["nodes"]:
+        if entry["q"] is not None:
+            entry["q"][position] = value
+            return
+    raise AssertionError(f"the {kind} model asks no question")
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: _first_question(d, "tag", 1, "zzz"),
+    lambda d: _first_question(d, "tag", 0, 999),
+    lambda d: _first_question(d, "tag", 0, -1),
+    lambda d: _first_question(d, "tag", 0, "0"),
+    lambda d: _first_question(d, "tag", 2, "1"),
+    lambda d: _first_question(d, "tag", 2, False),
+], ids=["unknown-kind", "slot-999", "negative-slot", "string-slot",
+        "string-arg", "bool-arg"])
+def test_malformed_question_is_rejected(saved, tmp_path, mutate):
+    path = _resealed(saved, tmp_path, "models", mutate)
+    with pytest.raises(ModelFileError, match="invalid question"):
+        modelfile.load_model_set(path)
+
+
+def test_relabelled_bit_questions_exit_with_a_data_error(saved, tmp_path,
+                                                         capsys):
+    def relabel(data):
+        for entry in data["tag"]["nodes"]:
+            if entry["q"] is not None and entry["q"][1] == "bit":
+                entry["q"][1] = "zzz"
+    path = _resealed(saved, tmp_path, "models", relabel)
+    (tmp_path / "in.txt").write_text("a bone runs rex\n")
+    assert cli.main(["parse", str(path), str(tmp_path / "in.txt")]) == \
+        cli.EXIT_DATA
+    assert "zzz" in capsys.readouterr().err

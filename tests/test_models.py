@@ -43,8 +43,8 @@ def test_class_trees_cover_their_vocabularies(toy_model_set):
     # sibling bigrams mix labels with the word pseudo-label
     assert TAG_LABEL in trees["label"].codes
     # unseen words fold into the unknown symbol's code
-    assert trees["word"].encode("zzzzz") == trees["word"].codes[UNK]
-    assert trees["extension"].encode("root").bits == EXTENSIONS.index("root")
+    assert trees["word"].codes["zzzzz"] == trees["word"].codes[UNK]
+    assert trees["extension"].codes["root"] == EXTENSIONS.index("root")
 
 
 def test_observed_u_max():

@@ -18,12 +18,13 @@ UNKNOWN_WORDS = ("qq", "zz", "Rex", "")
 
 
 def reference_walk(root, schema, history):
-    """The reached node, from the fully encoded history."""
+    """The reached node, from the fully encoded history, answered node by
+    node the way growing answers its questions."""
     vals, nulls = schema.encode_history(history)
     node = root
     while not node.is_leaf:
         q = node.question
-        node = node.yes if q.answer(int(vals[q.slot]), bool(nulls[q.slot])) \
+        node = node.yes if q.answer_array(vals[q.slot], nulls[q.slot]) \
             else node.no
     return node
 
@@ -65,8 +66,6 @@ def test_walk_matches_the_reference(toy_model_set, reloaded, kind, data):
     for model_set in (toy_model_set, reloaded):
         model = model_set.models[kind]
         assert_same_node(model.tree, model.root, model.schema, history)
-        assert model.leaf_for(history) is \
-            reference_walk(model.root, model.schema, history)
 
 
 @pytest.mark.parametrize("kind", derivation.KINDS)
@@ -128,11 +127,11 @@ def test_walk_reads_only_the_questioned_slots(toy_model_set):
 
 def test_unknown_word_takes_the_fallback_code(toy_model_set):
     word_tree = toy_model_set.class_trees["word"]
-    unk = word_tree.codes[UNK].bits
-    assert unk and word_tree.code_table["never seen"] == unk
+    unk = word_tree.codes[UNK]
+    assert unk and word_tree.codes["never seen"] == unk
     tag_tree = toy_model_set.class_trees["tag"]
     with pytest.raises(UnknownId):
-        tag_tree.code_table["never seen"]
+        tag_tree.codes["never seen"]
     # a one-question tree on a bit that the unknown-word code sets
     schema = toy_model_set.models[derivation.KIND_TAG].schema
     assert schema.slots[0][1] == "word"
