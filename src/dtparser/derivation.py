@@ -22,7 +22,11 @@ parent's label is known.
 
 Every decision is recorded as a DerivationEvent carrying the decision
 kind, the conditioning history and the chosen value, so a tree and its
-event sequence determine each other exactly.
+event sequence determine each other exactly.  A tree's decisions are its
+postorder: a word's tag, or a constituent's label after all of its
+children, each followed by the node's extension, which its position
+among its siblings fixes.  `encode` replays that postorder through
+`apply_action`, which checks that every action is the legal next one.
 
 History slot layout
 -------------------
@@ -44,7 +48,7 @@ Word nodes reached by the derivation carry the reserved pseudo-label
 
 from dataclasses import dataclass
 
-from .corpus import RawLeaf, RawTree
+from .corpus import RawLeaf, RawTree, sentence_words
 from .errors import (DeadEnd, EmptyInput, IllegalAction, NonContiguousTree,
                      UnaryChainTooLong)
 
@@ -332,42 +336,22 @@ def word_histories(word, unknown):
 
 # --- encoding trees to events and back ---
 
-class _GoldNode:
-    __slots__ = ("raw", "label", "tag", "extension", "parent", "children")
-
-    def __init__(self, raw):
-        self.raw = raw
-        self.parent = None
-        self.extension = None
-        if isinstance(raw, RawLeaf):
-            self.label = None
-            self.tag = raw.tag
-            self.children = []
-        else:
-            if not raw.children:
-                raise NonContiguousTree("internal node with no children")
-            self.label = raw.label
-            self.tag = None
-            self.children = [_GoldNode(c) for c in raw.children]
-            for pos, child in enumerate(self.children):
-                child.parent = self
-                if len(self.children) == 1:
-                    child.extension = "unary"
-                elif pos == 0:
-                    child.extension = "right"
-                elif pos == len(self.children) - 1:
-                    child.extension = "left"
-                else:
-                    child.extension = "up"
-
-
-def _gold_leaves(gold):
-    if not gold.children:
-        return [gold]
-    out = []
-    for child in gold.children:
-        out.extend(_gold_leaves(child))
-    return out
+def _postorder(node, extension):
+    """The (kind, value) actions that derive `node`, given the extension
+    that attaches it: its postorder, a word's tag or, after all of its
+    children, a constituent's label, each followed by the extension."""
+    if isinstance(node, RawLeaf):
+        yield KIND_TAG, node.tag
+    else:
+        if not node.children:
+            raise NonContiguousTree("internal node with no children")
+        last = len(node.children) - 1
+        for pos, child in enumerate(node.children):
+            yield from _postorder(child, "unary" if last == 0
+                                  else "right" if pos == 0
+                                  else "left" if pos == last else "up")
+        yield KIND_LABEL, node.label
+    yield KIND_EXTENSION, extension
 
 
 def encode(tree, ctx):
@@ -378,40 +362,20 @@ def encode(tree, ctx):
     """
     if isinstance(tree, RawLeaf):
         raise NonContiguousTree("a bare tagged word is not a tree")
-    gold_root = _GoldNode(tree)
-    gold_root.extension = "root"
-    gold_leaves = _gold_leaves(gold_root)
-    words = [g.raw.word for g in gold_leaves]
-
-    state = initial_state(words, ctx)
-    gold_stack = []  # parallel to state.stack
+    actions = list(_postorder(tree, "root"))
+    state = initial_state(sentence_words(tree), ctx)
     events = []
-    while not state.complete:
-        dec = _decision(state)
-        assert dec is not None, "gold replay cannot dead-end"
-        kind, target = dec
-        if kind == KIND_TAG:
-            value = gold_leaves[target].tag
-        elif kind == KIND_LABEL:
-            value = gold_stack[-1].label
-        else:
-            value = gold_stack[-1].extension
-            if value == "unary" and target.unary_chain >= ctx.u_max:
+    for kind, value in actions:
+        if kind == KIND_EXTENSION and value == "unary":
+            chain = state.stack[-1].unary_chain
+            if chain >= ctx.u_max:
                 raise UnaryChainTooLong(
-                    f"tree stacks {target.unary_chain + 1} unary constituents, "
+                    f"tree stacks {chain + 1} unary constituents, "
                     f"cap is {ctx.u_max}")
         events.append(DerivationEvent(kind=kind,
                                       history=extract_history(state, kind),
                                       future=value))
         state = apply_action(state, (kind, value))
-        if kind == KIND_TAG:
-            gold_stack.append(gold_leaves[target])
-        elif kind == KIND_EXTENSION and value in ("left", "unary"):
-            consumed = len(state.stack[-1].children)
-            merged, gold_stack = gold_stack[-consumed:], gold_stack[:-consumed]
-            if len({id(g.parent) for g in merged}) != 1:
-                raise NonContiguousTree("reduction crosses constituents")
-            gold_stack.append(merged[0].parent)
     return events
 
 

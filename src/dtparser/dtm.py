@@ -28,6 +28,11 @@ instead follow a `FlatTree`: the grown tree as flat per-node lists, which
 `walk` follows encoding only the slot each question on its path reads.
 Both look codes up in the one symbol -> int table of each class tree,
 `ClassTree.codes`.
+
+Every tree is complete: each internal node has both branches, since
+growing, forced-order building and loading all build both.  A node's id
+is its index in the tree's preorder (`iter_nodes`, `FlatTree`); the
+smoothed distributions, the model file and `walk` all index nodes so.
 """
 
 import logging
@@ -42,7 +47,6 @@ log = logging.getLogger(__name__)
 
 SIZE_THRESHOLDS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 40)
 CATEGORICAL_KINDS = ("word", "tag", "label", "extension")
-NUMERIC_KINDS = ("count", "width")
 
 # Count bucket b covers training counts in [2^b, 2^(b+1)).  Without held-out
 # data the lambda of bucket b falls back to this fixed schedule.
@@ -124,7 +128,7 @@ class ModelSchema:
 
 
 class DTNode:
-    __slots__ = ("question", "yes", "no", "counts", "total", "node_id")
+    __slots__ = ("question", "yes", "no", "counts", "total")
 
     def __init__(self, counts, total=None):
         self.question = None
@@ -132,7 +136,6 @@ class DTNode:
         self.no = None
         self.counts = counts
         self.total = int(counts.sum()) if total is None else total
-        self.node_id = -1
 
     @property
     def is_leaf(self):
@@ -145,7 +148,7 @@ class DTNode:
 
 
 def iter_nodes(root):
-    """Preorder traversal; node_id equals the position in this order."""
+    """Preorder traversal; a node's id is its position in this order."""
     stack = [root]
     while stack:
         node = stack.pop()
@@ -153,13 +156,6 @@ def iter_nodes(root):
         if not node.is_leaf:
             stack.append(node.no)
             stack.append(node.yes)
-
-
-def _assign_ids(root):
-    nodes = list(iter_nodes(root))
-    for i, node in enumerate(nodes):
-        node.node_id = i
-    return nodes
 
 
 def _entropy_bits(counts):
@@ -222,9 +218,7 @@ def grow(events, schema, config):
         node.no = build(idx[~best_mask], depth + 1)
         return node
 
-    root = build(np.arange(len(events)), 0)
-    _assign_ids(root)
-    return root
+    return build(np.arange(len(events)), 0)
 
 
 def as_forced_order_tree(schema, questions, events):
@@ -232,8 +226,8 @@ def as_forced_order_tree(schema, questions, events):
 
     Every leaf then holds the events sharing one full answer pattern, so
     its relative frequencies are exactly the empirical conditional table
-    for that history; the question order cannot change them.  Branches no
-    event reaches stay unexpanded (zero-count leaves).
+    for that history; the question order cannot change them.  A branch
+    no event reaches becomes a zero-count leaf.
     """
     if not events:
         raise NoEvents(f"no events for a forced-order {schema.kind} model")
@@ -251,9 +245,7 @@ def as_forced_order_tree(schema, questions, events):
         node.no = build(idx[~mask], qpos + 1)
         return node
 
-    root = build(np.arange(len(events)), 0)
-    _assign_ids(root)
-    return root
+    return build(np.arange(len(events)), 0)
 
 
 # How a node of a FlatTree answers, by question kind.
@@ -264,30 +256,32 @@ QUESTION_KINDS = {"isnull": _ISNULL, "bit": _BIT, "le": _LE}
 class FlatTree:
     """A grown tree as flat per-node lists, the form `walk` follows.
 
-    Node i is the i-th node in preorder, as in `iter_nodes`.  An internal
-    node asks question kind `kinds[i]` with argument `args[i]` of history
-    slot `slots[i]` and goes on to node `yes[i]` or `no[i]` (-1 for a
-    branch never built); a leaf has slot -1.  `tables[i]` encodes the
-    slot's value: the class tree's `codes`, one per value kind and shared
-    by every slot and node of that kind, or None for a numeric slot,
-    whose value is its own code.
+    A node's id is its index in preorder, as in `iter_nodes`, so every
+    node comes after its parent `parent[i]` (-1 at the root).  The tree
+    is complete: an internal node asks question kind `kinds[i]` with
+    argument `args[i]` of history slot `slots[i]` and goes on to node
+    `yes[i]` or `no[i]`, both built, or KeyError is raised here; a leaf
+    has slot -1.  `tables[i]` encodes the slot's value: the class tree's
+    `codes`, one per value kind and shared by every slot and node of that
+    kind, or None for a numeric slot, whose value is its own code.
     """
 
-    __slots__ = ("nodes", "width", "slots", "kinds", "args", "tables",
-                 "yes", "no")
+    __slots__ = ("nodes", "width", "parent", "slots", "kinds", "args",
+                 "tables", "yes", "no")
 
     def __init__(self, root, schema):
-        self.nodes = []
+        self.nodes, self.parent = [], []
         self.width = len(schema.slots)
         self.slots, self.kinds, self.args, self.tables = [], [], [], []
         self.yes, self.no = [], []
-        stack = [(root, None, 0)]  # node, its parent's child list, parent
+        stack = [(root, -1, None)]  # node, its parent, the parent's branch
         while stack:
-            node, branch, parent = stack.pop()
+            node, parent, branch = stack.pop()
             i = len(self.nodes)
             if branch is not None:
                 branch[parent] = i
             self.nodes.append(node)
+            self.parent.append(parent)
             self.yes.append(-1)
             self.no.append(-1)
             q = node.question
@@ -297,25 +291,24 @@ class FlatTree:
                 self.args.append(0)
                 self.tables.append(None)
                 continue
+            if node.yes is None or node.no is None:
+                raise KeyError(f"internal node {i} lacks a branch")
             vkind = schema.slots[q.slot][1]
             self.slots.append(q.slot)
             self.kinds.append(QUESTION_KINDS[q.kind])
             self.args.append(q.arg)
             self.tables.append(schema.encoders[vkind].codes
                                if vkind in CATEGORICAL_KINDS else None)
-            if node.no is not None:
-                stack.append((node.no, self.no, i))
-            if node.yes is not None:
-                stack.append((node.yes, self.yes, i))
+            stack.append((node.no, i, self.no))
+            stack.append((node.yes, i, self.yes))
 
 
 def walk(tree, history):
     """Follow the questions of FlatTree `tree` from the root; the id of
-    the reached node (a leaf unless the tree is a pruned forced-order
-    tree).  Only the slots the questions read are encoded: a missing
-    value answers `isnull` yes and every other question no, and a symbol
-    its class tree does not cover raises UnknownId (unless the tree has a
-    fallback) only when a question reads its slot."""
+    the reached leaf.  Only the slots the questions read are encoded: a
+    missing value answers `isnull` yes and every other question no, and a
+    symbol its class tree does not cover raises UnknownId (unless the tree
+    has a fallback) only when a question reads its slot."""
     if len(history) != tree.width:
         raise SlotLayoutMismatch(
             f"history has {len(history)} slots, schema expects {tree.width}")
@@ -334,8 +327,6 @@ def walk(tree, history):
             code = int(value) if table is None else table[value]
             answer = code >> args[i] & 1 if kind == _BIT else code <= args[i]
         i = yes[i] if answer else no[i]
-        if i < 0:  # unexpanded branch of a forced-order tree
-            raise KeyError("history was never observed")
     return i
 
 
@@ -361,7 +352,7 @@ def max_leaf_probability(tree, history, dists):
         value = history[slot]
         kind = kinds[i]
         if value is UNKNOWN:
-            todo.extend(j for j in (tree.yes[i], tree.no[i]) if j >= 0)
+            todo.extend((tree.yes[i], tree.no[i]))
             continue
         if value is None:
             answer = kind == _ISNULL
@@ -371,9 +362,7 @@ def max_leaf_probability(tree, history, dists):
             table = tables[i]
             code = int(value) if table is None else table[value]
             answer = code >> args[i] & 1 if kind == _BIT else code <= args[i]
-        j = tree.yes[i] if answer else tree.no[i]
-        if j >= 0:
-            todo.append(j)
+        todo.append(tree.yes[i] if answer else tree.no[i])
     return best
 
 
@@ -392,8 +381,6 @@ class SmoothedModel:
         self.root = root
         self.tree = FlatTree(root, schema)
         self.nodes = self.tree.nodes
-        for i, node in enumerate(self.nodes):
-            node.node_id = i
         self.bucket_lambdas = dict(bucket_lambdas)
         self.heldout_used = heldout_used
         self.em_log = list(em_log)  # held-out log-likelihood per iteration
@@ -405,16 +392,11 @@ class SmoothedModel:
 
     def _compute_smoothed(self):
         uniform = np.full(len(self.schema.futures), 1.0 / len(self.schema.futures))
-        smoothed = [None] * len(self.nodes)
-
-        def fill(node, parent_dist):
+        smoothed = []
+        for node, parent in zip(self.nodes, self.tree.parent):
             lam = self.bucket_lambdas[_bucket(node)]
-            smoothed[node.node_id] = lam * node.empirical() + (1.0 - lam) * parent_dist
-            if not node.is_leaf:
-                fill(node.yes, smoothed[node.node_id])
-                fill(node.no, smoothed[node.node_id])
-
-        fill(self.root, uniform)
+            above = smoothed[parent] if parent >= 0 else uniform
+            smoothed.append(lam * node.empirical() + (1.0 - lam) * above)
         return smoothed
 
     def _check(self):
@@ -450,46 +432,33 @@ def smooth(root, heldout_events, schema, config):
     The held-out log-likelihood is non-decreasing across iterations;
     this is asserted.
     """
-    nodes = _assign_ids(root)
-    buckets = sorted({_bucket(n) for n in nodes})
+    tree = FlatTree(root, schema)
+    buckets = sorted({_bucket(n) for n in tree.nodes})
     if not heldout_events:
         log.warning("no held-out events for the %s model; using the fixed "
                     "lambda schedule", schema.kind)
         return SmoothedModel(schema, root, _fallback_lambdas(buckets),
                              heldout_used=False, em_log=[])
 
-    parent = [-1] * len(nodes)
-    for node in nodes:
-        if not node.is_leaf:
-            parent[node.yes.node_id] = node.node_id
-            parent[node.no.node_id] = node.node_id
-
-    def path_ids(leaf_id):
-        path = [leaf_id]
-        while parent[path[-1]] != -1:
-            path.append(parent[path[-1]])
-        return path[::-1]  # root .. leaf
-
     # Group held-out events by (leaf, future); EM cost then scales with the
     # number of distinct groups, not events.
-    tree = FlatTree(root, schema)
     groups = {}
     for event in heldout_events:
         key = (walk(tree, event.history), schema.future_index[event.future])
         groups[key] = groups.get(key, 0) + 1
 
-    leaf_paths = {}
-    leaf_emp = {}
-    leaf_buckets = {}
-    for leaf_id, _ in groups:
-        if leaf_id in leaf_paths:
-            continue
-        path = path_ids(leaf_id)
-        leaf_paths[leaf_id] = np.array(path)
-        leaf_emp[leaf_id] = np.stack([nodes[i].empirical() for i in path])
-        leaf_buckets[leaf_id] = np.array([_bucket(nodes[i]) for i in path])
-
+    # Per reached leaf, for its path's nodes from the root down: their
+    # relative frequencies and the positions of their buckets' lambdas.
     bucket_pos = {b: i for i, b in enumerate(buckets)}
+    paths = {}
+    for leaf_id in {leaf_id for leaf_id, _ in groups}:
+        path = [leaf_id]
+        while tree.parent[path[0]] >= 0:
+            path.insert(0, tree.parent[path[0]])
+        paths[leaf_id] = (
+            np.stack([tree.nodes[i].empirical() for i in path]),
+            np.array([bucket_pos[_bucket(tree.nodes[i])] for i in path]))
+
     lam = np.full(len(buckets), 0.5)
     uniform = 1.0 / len(schema.futures)
     em_log = []
@@ -498,13 +467,13 @@ def smooth(root, heldout_events, schema, config):
         den = np.zeros(len(buckets))
         ll = 0.0
         for (leaf_id, future), count in groups.items():
-            slots = np.array([bucket_pos[b] for b in leaf_buckets[leaf_id]])
+            emp_rows, slots = paths[leaf_id]
             lam_path = lam[slots]
             one_minus = 1.0 - lam_path
             suffix = np.cumprod(one_minus[::-1])[::-1]  # prod_{i>=j}(1-lam)
             deeper = np.append(suffix[1:], 1.0)         # prod_{i>j}(1-lam)
             weights = lam_path * deeper
-            emp = leaf_emp[leaf_id][:, future]
+            emp = emp_rows[:, future]
             contrib = weights * emp
             mix = contrib.sum() + suffix[0] * uniform
             ll += count * math.log(mix)

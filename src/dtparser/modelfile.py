@@ -65,24 +65,41 @@ def _is_int(value):
     return type(value) is int  # bool is an int subclass; JSON true is no int
 
 
-def _classtree_from(data):
-    depth, budget, codes = data["depth"], data["budget"], data["codes"]
-    if not (_is_int(depth) and _is_int(budget) and 0 <= depth <= budget):
+def _field(data, key, kind, what):
+    """`data[key]`, which must exist and be a `kind`; an int is no bool."""
+    if not isinstance(data, dict):
+        raise ModelFileError(f"{what} is not a JSON object")
+    if key not in data:
+        raise ModelFileError(f"{what} lacks its {key!r} field")
+    value = data[key]
+    if not isinstance(value, kind) or (kind is int and not _is_int(value)):
         raise ModelFileError(
-            f"class tree depth {depth!r} is not an int within its budget "
-            f"{budget!r}")
+            f"{what} field {key!r} is {value!r}, not a {kind.__name__}")
+    return value
+
+
+def _classtree_from(data):
+    what = "class tree"
+    depth = _field(data, "depth", int, what)
+    budget = _field(data, "budget", int, what)
+    truncated = _field(data, "truncated", bool, what)
+    fallback = _field(data, "fallback", object, what)
+    codes = _field(data, "codes", dict, what)
+    if not 0 <= depth <= budget:
+        raise ModelFileError(
+            f"class tree depth {depth!r} is not within its budget {budget!r}")
     # Training asks only the bits below a class tree's depth.
     if not all(_is_int(code) and 0 <= code < 1 << depth
                for code in codes.values()):
         raise ModelFileError(
             f"class tree has a code that is not an int in [0, 2**depth), "
             f"depth {depth}")
-    fallback = data["fallback"]
-    if fallback is not None and fallback not in codes:
+    if fallback is not None and (not isinstance(fallback, str)
+                                 or fallback not in codes):
         raise ModelFileError(
             f"class tree fallback {fallback!r} is not one of its symbols")
     return ClassTree(codes=codes, budget=budget, depth=depth,
-                     truncated=data["truncated"], fallback=fallback)
+                     truncated=truncated, fallback=fallback)
 
 
 def _head_rules_data(heads):
@@ -96,20 +113,19 @@ def _head_rules_data(heads):
 def _head_rules_from(data):
     text = "\n".join(" ".join([parent, direction] + children)
                      for parent, direction, children in data["rules"])
-    table = parse_head_rules(text, default_direction=data["default_direction"])
-    return table
+    return parse_head_rules(text, default_direction=data["default_direction"])
 
 
 def _model_data(model):
     nodes = []
-    for node in model.nodes:
+    for node, dist in zip(model.nodes, model.smoothed):
         q = node.question
         entry = {
             "q": [q.slot, q.kind, q.arg] if q else None,
             "counts": {str(i): int(c) for i, c in enumerate(node.counts) if c},
         }
         if node.is_leaf:
-            entry["p"] = [float(x).hex() for x in model.smoothed[node.node_id]]
+            entry["p"] = [float(x).hex() for x in dist]
         nodes.append(entry)
     return {
         "kind": model.schema.kind,
@@ -121,46 +137,91 @@ def _model_data(model):
 
 def _question_from(q, schema):
     if not (isinstance(q, list) and len(q) == 3
-            and q[1] in dtm.QUESTION_KINDS and _is_int(q[0])
-            and 0 <= q[0] < len(schema.slots) and _is_int(q[2])):
+            and isinstance(q[1], str) and q[1] in dtm.QUESTION_KINDS
+            and _is_int(q[0]) and 0 <= q[0] < len(schema.slots)
+            and _is_int(q[2])):
         raise ModelFileError(
             f"{schema.kind} model has an invalid question {q!r}: expected "
             f"[slot below {len(schema.slots)}, one of "
             f"{'/'.join(dtm.QUESTION_KINDS)}, int]")
     slot, kind, arg = q
+    vkind = schema.slots[slot][1]
+    # Training asks bits below a class tree's depth, thresholds of numbers.
+    if vkind in dtm.CATEGORICAL_KINDS:
+        depth = schema.encoders[vkind].depth
+        if kind == "le" or kind == "bit" and not 0 <= arg < depth:
+            raise ModelFileError(
+                f"{schema.kind} model has an invalid question {q!r}: a "
+                f"{vkind} slot takes isnull, or a bit below its class tree's "
+                f"depth {depth}")
+    elif kind == "bit":
+        raise ModelFileError(f"{schema.kind} model has an invalid question "
+                             f"{q!r}: a {vkind} slot takes isnull or le")
     return dtm.Question(slot=slot, kind=kind, arg=arg)
 
 
 def _model_from(data, schema):
-    n_futures = len(schema.futures)
-    entries = data["nodes"]
+    what = f"{schema.kind} model"
+    entries = _field(data, "nodes", list, what)
+    futures = {str(i): i for i in range(len(schema.futures))}
+    smoothed = []  # stored leaf distributions in preorder; None elsewhere
 
     def build(pos):
+        if pos >= len(entries):
+            raise ModelFileError(f"{what} ends inside its tree")
         entry = entries[pos]
-        counts = np.zeros(n_futures, dtype=np.int64)
+        if not (isinstance(entry, dict) and "q" in entry
+                and isinstance(entry.get("counts"), dict)):
+            raise ModelFileError(f"{what} node {pos} is not an object with "
+                                 f"'q' and 'counts' fields")
+        counts = np.zeros(len(futures), dtype=np.int64)
         for i, c in entry["counts"].items():
-            counts[int(i)] = c
+            if not _is_int(c) or c < 0 or i not in futures:
+                raise ModelFileError(
+                    f"{what} has count {c!r} for future {i!r}; expected a "
+                    f"count >= 0 for a future below {len(futures)}")
+            counts[futures[i]] = c
         node = dtm.DTNode(counts, total=sum(entry["counts"].values()))
-        nxt = pos + 1
-        if entry["q"] is not None:
-            node.question = _question_from(entry["q"], schema)
-            node.yes, nxt = build(nxt)
-            node.no, nxt = build(nxt)
+        q = entry["q"]
+        if q is None:
+            smoothed.append(_distribution_from(entry.get("p"), len(futures),
+                                               what))
+            return node, pos + 1
+        node.question = _question_from(q, schema)
+        smoothed.append(None)
+        node.yes, nxt = build(pos + 1)
+        node.no, nxt = build(nxt)
         return node, nxt
 
     root, used = build(0)
     if used != len(entries):
-        raise ModelFileError("model section has trailing nodes")
-    bucket_lambdas = {int(b): float.fromhex(lam)
-                      for b, lam in data["lambdas"].items()}
-    # Leaf distributions come back exactly as stored; internal nodes'
-    # smoothed distributions are only needed during training.
-    smoothed = [None if entry["q"] is not None
-                else np.array([float.fromhex(x) for x in entry["p"]])
-                for entry in entries]
+        raise ModelFileError(f"{what} has trailing nodes")
+    try:
+        bucket_lambdas = {int(b): float.fromhex(lam) for b, lam
+                          in _field(data, "lambdas", dict, what).items()}
+    except (TypeError, ValueError) as exc:
+        raise ModelFileError(f"{what} has a malformed lambda: {exc}") from exc
     return dtm.SmoothedModel(schema, root, bucket_lambdas,
-                             heldout_used=data["heldout_used"], em_log=[],
-                             smoothed=smoothed)
+                             heldout_used=_field(data, "heldout_used", bool,
+                                                 what),
+                             em_log=[], smoothed=smoothed)
+
+
+def _distribution_from(hexes, n_futures, what):
+    """A leaf's stored distribution, exactly as saved: one positive
+    probability per future, summing to 1 as training asserts."""
+    try:
+        ps = [float.fromhex(x) for x in hexes] if isinstance(hexes, list) \
+            else []
+    except (TypeError, ValueError):
+        ps = []
+    # A nan or an infinity fails the sum test.
+    if not ps or len(ps) != n_futures or not min(ps) > 0.0 \
+            or not abs(sum(ps) - 1.0) <= 1e-9:
+        raise ModelFileError(
+            f"{what} has a leaf distribution that is not {n_futures} hex "
+            f"floats, each positive, summing to 1: {hexes!r}")
+    return np.array(ps)
 
 
 def save_model_set(model_set, config, path):
@@ -230,30 +291,35 @@ def load_model_set(path):
     envelope = _read_json(path, MAGIC, "model file")
 
     sections = {}
-    for name, wrapped in envelope["sections"].items():
-        if _checksum(wrapped["data"]) != wrapped["sha256"]:
+    for name, wrapped in _field(envelope, "sections", dict, path).items():
+        data = _field(wrapped, "data", object, f"{path}: section {name!r}")
+        if _checksum(data) != wrapped.get("sha256"):
             raise ModelFileError(f"{path}: section {name!r} fails its checksum")
-        sections[name] = wrapped["data"]
+        sections[name] = data
     for required in ("vocabularies", "class_trees", "head_rules", "models",
                      "settings"):
         if required not in sections:
             raise ModelFileError(f"{path}: section {required!r} missing")
 
     settings = sections["settings"]
-    if settings.get("schema_version") != SCHEMA_VERSION:
+    version = _field(settings, "schema_version", object, f"{path}: settings")
+    if version != SCHEMA_VERSION:
         raise ModelFileError(
-            f"{path}: model schema version "
-            f"{settings.get('schema_version')!r} unsupported "
+            f"{path}: model schema version {version!r} unsupported "
             f"(expected {SCHEMA_VERSION})")
+    u_max = _field(settings, "u_max", int, f"{path}: settings")
+    if u_max < 0:
+        raise ModelFileError(f"{path}: settings field 'u_max' is {u_max}, "
+                             f"below 0")
+    renormalize = _field(settings, "renormalize", bool, f"{path}: settings")
 
     vocab = _vocab_from(sections["vocabularies"])
-    class_trees = {kind: _classtree_from(data)
-                   for kind, data in sections["class_trees"].items()}
+    class_trees = {kind: _classtree_from(_field(
+        sections["class_trees"], kind, object, f"{path}: class trees"))
+        for kind in dtm.CATEGORICAL_KINDS}
     heads = _head_rules_from(sections["head_rules"])
-    models = {}
-    for kind in derivation.KINDS:
-        schema = make_schema(kind, vocab, class_trees)
-        models[kind] = _model_from(sections["models"][kind], schema)
+    models = {kind: _model_from(
+        _field(sections["models"], kind, object, f"{path}: models"),
+        make_schema(kind, vocab, class_trees)) for kind in derivation.KINDS}
     return ModelSet(vocab=vocab, heads=heads, class_trees=class_trees,
-                    models=models, u_max=settings["u_max"],
-                    renormalize=settings["renormalize"])
+                    models=models, u_max=u_max, renormalize=renormalize)

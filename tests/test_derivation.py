@@ -6,12 +6,13 @@ up; a node's extension follows its completion; the root extension comes
 last) and double-checked against an independent recursive enumeration.
 """
 
+import hashlib
 import random
 
 import pytest
 
 import toylang
-from dtparser.corpus import RawLeaf, format_tree, parse_tree
+from dtparser.corpus import RawLeaf, RawTree, format_tree, parse_tree
 from dtparser.derivation import (KIND_EXTENSION, KIND_LABEL,
                                  KIND_TAG, TAG_LABEL, DerivationContext,
                                  apply_action, decode, encode,
@@ -161,6 +162,23 @@ def test_encode_decode_round_trip_random_trees():
         assert format_tree(rebuilt) == format_tree(tree)
 
 
+# SHA-256 of the encode events of the 150 random trees behind the pinned
+# random-tree model in test_modelfile, one repr((kind, history, future))
+# line per event.
+RANDOM_EVENTS_SHA256 = \
+    "24a2520e4dcf1cdbd62065c4d4e70f0bea65e377a1ad5958badb9ec7c8352ee9"
+
+
+def test_random_tree_events_are_pinned():
+    ctx = toy_ctx()
+    digest = hashlib.sha256()
+    for tree in toylang.random_corpus(150, 41):
+        for event in encode(tree, ctx):
+            line = repr((event.kind, event.history, event.future)) + "\n"
+            digest.update(line.encode("utf-8"))
+    assert digest.hexdigest() == RANDOM_EVENTS_SHA256
+
+
 def _leaves(tree):
     if isinstance(tree, RawLeaf):
         return [tree]
@@ -297,6 +315,20 @@ def test_unary_chain_cap():
     deep = DerivationContext(tags=("T",), labels=("A", "B"),
                              heads=default_head_rules(), u_max=2)
     assert decode(["w"], encode(tree, deep), deep) == tree
+
+
+def test_symbols_spelled_unary_build_no_unary_chain():
+    # only a unary *extension* stacks a unary constituent
+    tree = parse_tree("(unary w_unary v_unary)")
+    ctx = DerivationContext(tags=("unary",), labels=("unary",),
+                            heads=default_head_rules(), u_max=0)
+    assert decode(["w", "v"], encode(tree, ctx), ctx) == tree
+
+
+def test_empty_constituent_is_not_a_tree():
+    tree = RawTree("A", (RawLeaf("w", "T1"), RawTree("B", ())))
+    with pytest.raises(NonContiguousTree):
+        encode(tree, toy_ctx())
 
 
 def test_max_unary_chain():

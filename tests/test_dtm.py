@@ -114,8 +114,8 @@ def test_isnull_beats_an_equivalent_numeric_cut():
 
 def _node_summary(root):
     """(node id, question, counts) per node, in preorder."""
-    return [(node.node_id, node.question, node.counts.tolist())
-            for node in iter_nodes(root)]
+    return [(i, node.question, node.counts.tolist())
+            for i, node in enumerate(iter_nodes(root))]
 
 
 def test_growing_is_deterministic():
@@ -348,5 +348,5 @@ def test_predict_walks_to_the_right_leaf():
 def test_iter_nodes_is_preorder():
     schema, root, _ = em_fixture()
     nodes = list(iter_nodes(root))
-    assert [n.node_id for n in nodes] == [0, 1, 2]
+    assert FlatTree(root, schema).nodes == nodes
     assert nodes[0] is root and nodes[1] is root.yes and nodes[2] is root.no

@@ -6,7 +6,10 @@ import json
 import numpy as np
 import pytest
 
+import toylang
 from dtparser import cli, derivation, modelfile, models
+from dtparser.config import Config
+from dtparser.corpus import split_corpus
 from dtparser.dtm import iter_nodes
 from dtparser.errors import ModelFileError
 
@@ -56,12 +59,12 @@ def test_round_trip_preserves_structure(toy_model_set, loaded):
         assert after.bucket_lambdas == before.bucket_lambdas
         assert after.heldout_used == before.heldout_used
         assert len(after.nodes) == len(before.nodes)
-        for ours, theirs in zip(iter_nodes(before.root), iter_nodes(after.root)):
+        for i, (ours, theirs) in enumerate(zip(iter_nodes(before.root),
+                                               iter_nodes(after.root))):
             assert ours.question == theirs.question
             assert np.array_equal(ours.counts, theirs.counts)
             if ours.is_leaf:  # only leaf distributions are persisted
-                assert np.array_equal(before.smoothed[ours.node_id],
-                                      after.smoothed[theirs.node_id])
+                assert np.array_equal(before.smoothed[i], after.smoothed[i])
 
 
 def test_round_trip_preserves_settings(toy_model_set, loaded):
@@ -96,6 +99,33 @@ TOY_MODEL_SHA256 = \
 
 def test_toy_model_file_bytes_are_pinned(saved):
     assert hashlib.sha256(saved.read_bytes()).hexdigest() == TOY_MODEL_SHA256
+
+
+# SHA-256 of a model of 150 arbitrary random trees, whose unary chains
+# train every extension; saved as the toy model pin above was.
+RANDOM_MODEL_SHA256 = \
+    "9de0fffff7ba693496d3318292b7fb65f4c2152c5f7b0c1f666bb211c48c673a"
+RANDOM_CONFIG = Config(unk_threshold=1, min_events=4, cluster_window=64)
+
+
+@pytest.fixture(scope="module")
+def random_saved(tmp_path_factory):
+    trees = toylang.random_corpus(150, 41)
+    grow, heldout = split_corpus(trees, RANDOM_CONFIG.grow_fraction,
+                                 RANDOM_CONFIG.seed)
+    path = tmp_path_factory.mktemp("models") / "random.model"
+    modelfile.save_model_set(models.train(grow, heldout, RANDOM_CONFIG),
+                             RANDOM_CONFIG, path)
+    return path
+
+
+def test_random_tree_model_file_bytes_are_pinned(random_saved, tmp_path):
+    assert hashlib.sha256(random_saved.read_bytes()).hexdigest() == \
+        RANDOM_MODEL_SHA256
+    again = tmp_path / "again.model"
+    modelfile.save_model_set(modelfile.load_model_set(random_saved),
+                             RANDOM_CONFIG, again)
+    assert again.read_bytes() == random_saved.read_bytes()
 
 
 def _rewrite(saved, tmp_path, mutate):
@@ -202,11 +232,30 @@ def _first_code(data, kind, value):
     lambda d: _first_code(d, "tag", -1),
     lambda d: d["tag"].update(depth=d["tag"]["budget"] + 1),
     lambda d: d["word"].update(fallback="no such word"),
+    lambda d: d["word"].pop("fallback"),
+    lambda d: d["tag"].update(codes=list(d["tag"]["codes"])),
+    lambda d: d["tag"].update(depth="3"),
+    lambda d: d.pop("label"),
 ], ids=["string-code", "float-code", "bool-code", "negative-code",
-        "depth-over-budget", "uncovered-fallback"])
+        "depth-over-budget", "uncovered-fallback", "missing-fallback",
+        "codes-as-list", "string-depth", "missing-label-tree"])
 def test_malformed_class_tree_is_rejected(saved, tmp_path, mutate):
     path = _resealed(saved, tmp_path, "class_trees", mutate)
     with pytest.raises(ModelFileError, match="class tree"):
+        modelfile.load_model_set(path)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(u_max="3"),
+    lambda d: d.update(u_max=2.0),
+    lambda d: d.update(u_max=-1),
+    lambda d: d.pop("u_max"),
+    lambda d: d.update(renormalize=0),
+], ids=["string-u-max", "float-u-max", "negative-u-max", "missing-u-max",
+        "int-renormalize"])
+def test_malformed_settings_are_rejected(saved, tmp_path, mutate):
+    path = _resealed(saved, tmp_path, "settings", mutate)
+    with pytest.raises(ModelFileError, match="settings (field|lacks)"):
         modelfile.load_model_set(path)
 
 
@@ -219,12 +268,15 @@ def test_uncovered_fallback_exits_with_a_data_error(saved, tmp_path, capsys):
     assert "fallback" in capsys.readouterr().err
 
 
-def _first_question(data, kind, position, value):
+def _first_question(data, kind, position, value, asks=None):
     for entry in data[kind]["nodes"]:
-        if entry["q"] is not None:
+        if entry["q"] is not None and asks in (None, entry["q"][1]):
             entry["q"][position] = value
             return
-    raise AssertionError(f"the {kind} model asks no question")
+    raise AssertionError(f"the {kind} model asks no such question")
+
+
+CUR_COUNT_SLOT = 4  # the current node's child count, a numeric slot
 
 
 @pytest.mark.parametrize("mutate", [
@@ -234,12 +286,79 @@ def _first_question(data, kind, position, value):
     lambda d: _first_question(d, "tag", 0, "0"),
     lambda d: _first_question(d, "tag", 2, "1"),
     lambda d: _first_question(d, "tag", 2, False),
+    lambda d: _first_question(d, "tag", 2, 40, asks="bit"),
+    lambda d: _first_question(d, "tag", 2, -1, asks="bit"),
+    lambda d: _first_question(d, "tag", 1, "le", asks="bit"),
+    lambda d: _first_question(d, "tag", 0, CUR_COUNT_SLOT, asks="bit"),
+    lambda d: _first_question(d, "tag", 1, ["bit"]),
 ], ids=["unknown-kind", "slot-999", "negative-slot", "string-slot",
-        "string-arg", "bool-arg"])
+        "string-arg", "bool-arg", "bit-beyond-depth", "negative-bit",
+        "categorical-threshold", "numeric-bit", "list-kind"])
 def test_malformed_question_is_rejected(saved, tmp_path, mutate):
     path = _resealed(saved, tmp_path, "models", mutate)
     with pytest.raises(ModelFileError, match="invalid question"):
         modelfile.load_model_set(path)
+
+
+def _leaf(data, kind="tag"):
+    return next(entry for entry in data[kind]["nodes"] if entry["q"] is None)
+
+
+def _cut_after_first_question(data, kind="tag"):
+    nodes = data[kind]["nodes"]
+    first = next(i for i, entry in enumerate(nodes) if entry["q"] is not None)
+    del nodes[first + 1:]
+
+
+def _move_mass(data, first):
+    """Set a leaf's first probability to `first`, moving the difference
+    to its second so that the sum stays 1."""
+    p = _leaf(data)["p"]
+    old, second = float.fromhex(p[0]), float.fromhex(p[1])
+    p[0], p[1] = first.hex(), (second + old - first).hex()
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_cut_after_first_question, "ends inside its tree"),
+    (lambda d: _leaf(d)["counts"].update({str(len(_leaf(d)["p"])): 1}),
+     "future"),
+    (lambda d: _leaf(d)["counts"].update({"0": -1}), "count -1"),
+    (lambda d: _leaf(d)["counts"].update({"0": 1.0}), "count 1.0"),
+    (lambda d: _leaf(d)["p"].pop(), "leaf distribution"),
+    (lambda d: _leaf(d)["p"].append((0.0).hex()), "leaf distribution"),
+    (lambda d: _move_mass(d, 0.0), "leaf distribution"),
+    (lambda d: _move_mass(d, -1e-3), "leaf distribution"),
+    (lambda d: _leaf(d)["p"].__setitem__(0, "inf"), "leaf distribution"),
+    (lambda d: _leaf(d)["p"].__setitem__(0, "nan"), "leaf distribution"),
+    (lambda d: _leaf(d)["p"].__setitem__(
+        0, (float.fromhex(_leaf(d)["p"][0]) + 1e-6).hex()),
+     "leaf distribution"),
+    (lambda d: _leaf(d)["p"].__setitem__(0, "zz"), "leaf distribution"),
+    (lambda d: _leaf(d)["p"].__setitem__(0, 0.5), "leaf distribution"),
+    (lambda d: _leaf(d).pop("p"), "leaf distribution"),
+    (lambda d: d["tag"]["lambdas"].update(x="0x1p-1"), "malformed lambda"),
+    (lambda d: d.pop("label"), "'label'"),
+], ids=["cut-after-internal-node", "count-of-no-future", "negative-count",
+        "float-count", "short-leaf", "long-leaf", "zero-probability",
+        "negative-probability", "infinite-probability", "nan-probability",
+        "sum-over-one", "non-hex-probability", "float-probability",
+        "leaf-without-p", "bad-lambda-bucket", "missing-label-model"])
+def test_broken_tree_section_is_rejected(saved, tmp_path, mutate, message):
+    path = _resealed(saved, tmp_path, "models", mutate)
+    with pytest.raises(ModelFileError, match=message):
+        modelfile.load_model_set(path)
+
+
+def test_out_of_range_bits_exit_with_a_data_error(saved, tmp_path, capsys):
+    def widen(data):
+        for entry in data["tag"]["nodes"]:
+            if entry["q"] is not None and entry["q"][1] == "bit":
+                entry["q"][2] = 40
+    path = _resealed(saved, tmp_path, "models", widen)
+    (tmp_path / "in.txt").write_text("a bone runs rex\n")
+    assert cli.main(["parse", str(path), str(tmp_path / "in.txt")]) == \
+        cli.EXIT_DATA
+    assert "class tree's depth" in capsys.readouterr().err
 
 
 def test_relabelled_bit_questions_exit_with_a_data_error(saved, tmp_path,

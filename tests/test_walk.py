@@ -121,8 +121,8 @@ def test_walk_reads_only_the_questioned_slots(toy_model_set):
     with pytest.raises(UnknownId):
         model.schema.encode_history(tuple(history))
     node = walk(tree, tuple(history))
-    assert node == reference_walk(model.root, model.schema,
-                                  (None,) * tree.width).node_id
+    assert tree.nodes[node] is reference_walk(model.root, model.schema,
+                                              (None,) * tree.width)
 
 
 def test_unknown_word_takes_the_fallback_code(toy_model_set):

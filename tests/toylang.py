@@ -110,3 +110,9 @@ def random_tree(rng, max_depth=4):
         return node(depth + 1, chain_budget)
 
     return node(0, RANDOM_U_MAX)
+
+
+def random_corpus(n, seed):
+    """`n` random trees from one seeded generator."""
+    rng = random.Random(seed)
+    return [random_tree(rng) for _ in range(n)]
