@@ -115,7 +115,7 @@ def _finish(tree, symbols, budget, fallback, merges):
                      truncated=truncated, fallback=fallback, merges=merges)
 
 
-def fixed_class_tree(symbols, budget, fallback=None):
+def fixed_class_tree(symbols, budget):
     """A deterministic balanced hierarchy (no co-occurrence statistics):
     symbol i branches by the bits of i.  Handy for tiny fixed inventories."""
     symbols = list(symbols)
@@ -126,7 +126,7 @@ def fixed_class_tree(symbols, budget, fallback=None):
     codes = {sym: i for i, sym in enumerate(symbols)}
     depth = max(1, (len(symbols) - 1).bit_length())
     return ClassTree(codes=codes, budget=budget, depth=depth, truncated=False,
-                     fallback=fallback, merges=[])
+                     fallback=None, merges=[])
 
 
 def _mi_terms(m, row_mass, col_mass, total):

@@ -9,10 +9,9 @@ slot tuples; every question asks one yes/no fact about one slot:
   a plain int; a missing value has none, so it answers no.
 * ``le t``    -- is the numeric slot value <= t?
 
-Trees are grown by recursive greedy splitting on the question with the
-largest reduction in future entropy, and smoothed by interpolating every
-node's relative-frequency distribution with its parent's smoothed
-distribution,
+Trees are grown by greedy splitting on the question with the largest
+reduction in future entropy, and smoothed by interpolating every node's
+relative-frequency distribution with its parent's smoothed distribution,
 
     P~(f | node) = lambda_node * P_emp(f | node) + (1 - lambda_node) * P~(f | parent),
 
@@ -24,15 +23,16 @@ maximisation on held-out events.
 Growing encodes every slot of every event at once, column by column
 (`encode_histories`): an int code array and a nulls mask that marks the
 missing values.  Prediction, and the held-out grouping in `smooth`,
-instead follow a `FlatTree`: the grown tree as flat per-node lists, which
-`walk` follows encoding only the slot each question on its path reads.
-Both look codes up in the one symbol -> int table of each class tree,
-`ClassTree.codes`.
+instead `walk` the tree, encoding only the slot each question on its
+path reads.  Both look codes up in the one symbol -> int table of each
+class tree, `ClassTree.codes`.
 
-Every tree is complete: each internal node has both branches, since
-growing, forced-order building and loading all build both.  A node's id
-is its index in the tree's preorder (`iter_nodes`, `FlatTree`); the
-smoothed distributions, the model file and `walk` all index nodes so.
+A tree has one form, a `FlatTree`: one table of per-node lists in
+preorder, which growing, forced-order building and loading all fill one
+node at a time through `FlatTree.add`, with no linked copy and no
+recursion.  A node's id is its index in that preorder; the smoothed
+distributions, the model file and `walk` all index nodes so.  A model
+holds only complete trees, in which each internal node has both branches.
 """
 
 import logging
@@ -70,14 +70,12 @@ class Question:
 class ModelSchema:
     """Slot layout, value encoders and future vocabulary of one model."""
 
-    def __init__(self, kind, slots, encoders, futures,
-                 thresholds=SIZE_THRESHOLDS):
+    def __init__(self, kind, slots, encoders, futures):
         self.kind = kind
         self.slots = tuple(slots)  # (name, value kind) pairs
         self.encoders = dict(encoders)  # value kind -> ClassTree
         self.futures = list(futures)
         self.future_index = {f: i for i, f in enumerate(self.futures)}
-        self.thresholds = tuple(thresholds)
 
     def questions(self):
         """Every candidate question, in the canonical (slot, kind) order
@@ -90,7 +88,7 @@ class ModelSchema:
                 for b in range(self.encoders[vkind].depth):
                     out.append(Question(slot, "bit", b))
             else:
-                for t in self.thresholds:
+                for t in SIZE_THRESHOLDS:
                     out.append(Question(slot, "le", t))
         return out
 
@@ -128,12 +126,12 @@ class ModelSchema:
 
 
 class DTNode:
-    __slots__ = ("question", "yes", "no", "counts", "total")
+    """A tree node: its question (None at a leaf) and counts per future."""
 
-    def __init__(self, counts, total=None):
-        self.question = None
-        self.yes = None
-        self.no = None
+    __slots__ = ("question", "counts", "total")
+
+    def __init__(self, counts, question=None, total=None):
+        self.question = question
         self.counts = counts
         self.total = int(counts.sum()) if total is None else total
 
@@ -147,15 +145,9 @@ class DTNode:
         return self.counts / self.total
 
 
-def iter_nodes(root):
-    """Preorder traversal; a node's id is its position in this order."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        if not node.is_leaf:
-            stack.append(node.no)
-            stack.append(node.yes)
+def iter_nodes(tree):
+    """The nodes of FlatTree `tree` in preorder, each at its id."""
+    return iter(tree.nodes)
 
 
 def _entropy_bits(counts):
@@ -187,14 +179,14 @@ def grow(events, schema, config):
             answers[qi] = q.answer_array(vals[:, q.slot], nulls[:, q.slot])
         return answers[qi]
 
-    def build(idx, depth):
+    def split(idx, depth):
         counts = np.bincount(futures[idx], minlength=n_futures)
         node = DTNode(counts)
         if len(idx) < config.min_events or depth >= config.max_depth:
-            return node
+            return node, ()
         here = _entropy_bits(counts)
         if here == 0.0:
-            return node
+            return node, ()
         best_gain = 0.0
         best_qi = None
         best_mask = None
@@ -212,13 +204,12 @@ def grow(events, schema, config):
                 best_qi = qi
                 best_mask = mask
         if best_qi is None or best_gain < config.min_gain:
-            return node
+            return node, ()
         node.question = questions[best_qi]
-        node.yes = build(idx[best_mask], depth + 1)
-        node.no = build(idx[~best_mask], depth + 1)
-        return node
+        return node, ((idx[best_mask], depth + 1),
+                      (idx[~best_mask], depth + 1))
 
-    return build(np.arange(len(events)), 0)
+    return FlatTree.build(schema, split, (np.arange(len(events)), 0))
 
 
 def as_forced_order_tree(schema, questions, events):
@@ -234,18 +225,16 @@ def as_forced_order_tree(schema, questions, events):
     vals, nulls, futures = schema.encode_events(events)
     n_futures = len(schema.futures)
 
-    def build(idx, qpos):
+    def split(idx, qpos):
         node = DTNode(np.bincount(futures[idx], minlength=n_futures))
         if qpos == len(questions) or len(idx) == 0:
-            return node
+            return node, ()
         q = questions[qpos]
         mask = q.answer_array(vals[idx, q.slot], nulls[idx, q.slot])
         node.question = q
-        node.yes = build(idx[mask], qpos + 1)
-        node.no = build(idx[~mask], qpos + 1)
-        return node
+        return node, ((idx[mask], qpos + 1), (idx[~mask], qpos + 1))
 
-    return build(np.arange(len(events)), 0)
+    return FlatTree.build(schema, split, (np.arange(len(events)), 0))
 
 
 # How a node of a FlatTree answers, by question kind.
@@ -254,61 +243,88 @@ QUESTION_KINDS = {"isnull": _ISNULL, "bit": _BIT, "le": _LE}
 
 
 class FlatTree:
-    """A grown tree as flat per-node lists, the form `walk` follows.
+    """A decision tree as one table of per-node lists in preorder: the one
+    form of every tree, grown, forced or loaded, and the form `walk` follows.
 
-    A node's id is its index in preorder, as in `iter_nodes`, so every
-    node comes after its parent `parent[i]` (-1 at the root).  The tree
-    is complete: an internal node asks question kind `kinds[i]` with
-    argument `args[i]` of history slot `slots[i]` and goes on to node
-    `yes[i]` or `no[i]`, both built, or KeyError is raised here; a leaf
-    has slot -1.  `tables[i]` encodes the slot's value: the class tree's
-    `codes`, one per value kind and shared by every slot and node of that
-    kind, or None for a numeric slot, whose value is its own code.
+    `add` appends nodes in preorder, so a node's id is its index and comes
+    after its parent `parent[i]` (-1 at the root).  An internal node asks
+    question kind `kinds[i]` with argument `args[i]` of history slot
+    `slots[i]` and goes on to node `yes[i]` or `no[i]` (-1 until added); a
+    leaf has slot -1.  `tables[i]` encodes the slot's value: the class
+    tree's `codes`, one per value kind and shared by every slot and node
+    of that kind, or None for a numeric slot, whose value is its own code.
+    The tree is `complete` once every internal node has both branches.
     """
 
     __slots__ = ("nodes", "width", "parent", "slots", "kinds", "args",
-                 "tables", "yes", "no")
+                 "tables", "yes", "no", "_schema", "_open")
 
-    def __init__(self, root, schema):
-        self.nodes, self.parent = [], []
+    def __init__(self, schema):
+        self._schema = schema
         self.width = len(schema.slots)
+        self.nodes, self.parent, self.yes, self.no = [], [], [], []
         self.slots, self.kinds, self.args, self.tables = [], [], [], []
-        self.yes, self.no = [], []
-        stack = [(root, -1, None)]  # node, its parent, the parent's branch
-        while stack:
-            node, parent, branch = stack.pop()
-            i = len(self.nodes)
-            if branch is not None:
-                branch[parent] = i
-            self.nodes.append(node)
-            self.parent.append(parent)
-            self.yes.append(-1)
-            self.no.append(-1)
-            q = node.question
-            if q is None:
-                self.slots.append(-1)
-                self.kinds.append(None)
-                self.args.append(0)
-                self.tables.append(None)
-                continue
-            if node.yes is None or node.no is None:
-                raise KeyError(f"internal node {i} lacks a branch")
-            vkind = schema.slots[q.slot][1]
-            self.slots.append(q.slot)
-            self.kinds.append(QUESTION_KINDS[q.kind])
-            self.args.append(q.arg)
-            self.tables.append(schema.encoders[vkind].codes
-                               if vkind in CATEGORICAL_KINDS else None)
-            stack.append((node.no, i, self.no))
-            stack.append((node.yes, i, self.yes))
+        self._open = []  # internal nodes still missing a branch, in order
+
+    @property
+    def complete(self):
+        return bool(self.nodes) and not self._open
+
+    def add(self, node):
+        """Append DTNode `node` at the next place in preorder: the root, or
+        else the yes branch of the last internal node still missing one,
+        or else that node's no branch."""
+        i = len(self.nodes)
+        if self._open:
+            parent = self._open[-1]
+            if self.yes[parent] < 0:
+                self.yes[parent] = i
+            else:
+                self.no[parent] = i
+                self._open.pop()
+        elif self.nodes:
+            raise ValueError("a complete tree takes no more nodes")
+        else:
+            parent = -1
+        self.nodes.append(node)
+        self.parent.append(parent)
+        self.yes.append(-1)
+        self.no.append(-1)
+        q = node.question
+        if q is None:
+            self.slots.append(-1)
+            self.kinds.append(None)
+            self.args.append(0)
+            self.tables.append(None)
+            return
+        vkind = self._schema.slots[q.slot][1]
+        self.slots.append(q.slot)
+        self.kinds.append(QUESTION_KINDS[q.kind])
+        self.args.append(q.arg)
+        self.tables.append(self._schema.encoders[vkind].codes
+                           if vkind in CATEGORICAL_KINDS else None)
+        self._open.append(i)
+
+    @classmethod
+    def build(cls, schema, split, item):
+        """The tree that `split` grows from `item`, built with an explicit
+        stack: `split(*item)` returns a node and the items of its yes and
+        no children, or the node and () for a leaf."""
+        tree = cls(schema)
+        todo = [item]
+        while todo:
+            node, children = split(*todo.pop())
+            tree.add(node)
+            todo.extend(reversed(children))
+        return tree
 
 
 def walk(tree, history):
-    """Follow the questions of FlatTree `tree` from the root; the id of
-    the reached leaf.  Only the slots the questions read are encoded: a
-    missing value answers `isnull` yes and every other question no, and a
-    symbol its class tree does not cover raises UnknownId (unless the tree
-    has a fallback) only when a question reads its slot."""
+    """Follow the questions of complete FlatTree `tree` from the root; the
+    id of the reached leaf.  Only the slots the questions read are
+    encoded: a missing value answers `isnull` yes and every other question
+    no, and a symbol its class tree does not cover raises UnknownId
+    (unless the tree has a fallback) only when a question reads its slot."""
     if len(history) != tree.width:
         raise SlotLayoutMismatch(
             f"history has {len(history)} slots, schema expects {tree.width}")
@@ -367,53 +383,27 @@ def max_leaf_probability(tree, history, dists):
 
 
 class SmoothedModel:
-    """A grown tree with per-node interpolation weights; the predictor.
+    """A complete tree and its leaves' smoothed distributions; the predictor.
+    `smoothed[i]` is leaf i's distribution over `schema.futures` and None
+    at an internal node, where no walk ends, alike in a trained model, in
+    the model file and in the model loaded from it."""
 
-    Trained models compute every node's smoothed distribution from the
-    lambdas; a loaded model passes the stored ones as `smoothed` (leaves
-    only, None at internal nodes).  Either way the tree is flattened for
-    `walk` here.
-    """
-
-    def __init__(self, schema, root, bucket_lambdas, heldout_used, em_log,
-                 smoothed=None):
+    def __init__(self, schema, tree, smoothed, bucket_lambdas, heldout_used,
+                 em_log=()):
+        if not tree.complete:
+            raise ValueError(f"the {schema.kind} tree is not complete")
         self.schema = schema
-        self.root = root
-        self.tree = FlatTree(root, schema)
-        self.nodes = self.tree.nodes
+        self.tree = tree
+        self.root = tree.nodes[0]
+        self.nodes = tree.nodes
+        self.smoothed = list(smoothed)
         self.bucket_lambdas = dict(bucket_lambdas)
         self.heldout_used = heldout_used
         self.em_log = list(em_log)  # held-out log-likelihood per iteration
-        if smoothed is None:
-            self.smoothed = self._compute_smoothed()
-            self._check()
-        else:
-            self.smoothed = list(smoothed)
-
-    def _compute_smoothed(self):
-        uniform = np.full(len(self.schema.futures), 1.0 / len(self.schema.futures))
-        smoothed = []
-        for node, parent in zip(self.nodes, self.tree.parent):
-            lam = self.bucket_lambdas[_bucket(node)]
-            above = smoothed[parent] if parent >= 0 else uniform
-            smoothed.append(lam * node.empirical() + (1.0 - lam) * above)
-        return smoothed
-
-    def _check(self):
-        for dist in self.smoothed:
-            assert abs(dist.sum() - 1.0) <= 1e-9, "smoothed mass must be 1"
-            assert dist.min() > 0.0, "smoothed distributions must be positive"
 
     def predict(self, history):
         """Probabilities over `schema.futures` (read-only array)."""
         return self.smoothed[walk(self.tree, history)]
-
-    def distribution(self, history):
-        """(future, probability) pairs, most probable first; ties break on
-        the future symbol so the order is a total one."""
-        probs = self.predict(history)
-        return sorted(zip(self.schema.futures, probs.tolist()),
-                      key=lambda item: (-item[1], item[0]))
 
 
 def _bucket(node):
@@ -424,21 +414,41 @@ def _fallback_lambdas(buckets):
     return {b: (2.0 ** b) / (2.0 ** b + _FALLBACK_PIVOT) for b in buckets}
 
 
-def smooth(root, heldout_events, schema, config):
-    """Fit bucketed interpolation weights on held-out events by EM.
+def interpolate(tree, bucket_lambdas):
+    """The leaves' smoothed distributions, None at internal nodes.  In
+    preorder, each node interpolates its relative frequencies with its
+    parent's smoothed distribution (the uniform one at the root) by its
+    count bucket's lambda; every node's must be positive and sum to 1."""
+    n_futures = len(tree.nodes[0].counts)
+    uniform = np.full(n_futures, 1.0 / n_futures)
+    smoothed = []
+    for node, parent in zip(tree.nodes, tree.parent):
+        lam = bucket_lambdas[_bucket(node)]
+        above = smoothed[parent] if parent >= 0 else uniform
+        dist = lam * node.empirical() + (1.0 - lam) * above
+        assert abs(dist.sum() - 1.0) <= 1e-9, "smoothed mass must be 1"
+        assert dist.min() > 0.0, "smoothed distributions must be positive"
+        smoothed.append(dist)
+    return [dist if node.is_leaf else None
+            for node, dist in zip(tree.nodes, smoothed)]
+
+
+def smooth(tree, heldout_events, schema, config):
+    """Fit bucketed interpolation weights on held-out events by EM, and
+    smooth FlatTree `tree` with them.
 
     With no held-out events the lambdas fall back to a fixed
     count-based schedule and the model is flagged (`heldout_used`).
     The held-out log-likelihood is non-decreasing across iterations;
     this is asserted.
     """
-    tree = FlatTree(root, schema)
     buckets = sorted({_bucket(n) for n in tree.nodes})
     if not heldout_events:
         log.warning("no held-out events for the %s model; using the fixed "
                     "lambda schedule", schema.kind)
-        return SmoothedModel(schema, root, _fallback_lambdas(buckets),
-                             heldout_used=False, em_log=[])
+        lambdas = _fallback_lambdas(buckets)
+        return SmoothedModel(schema, tree, interpolate(tree, lambdas), lambdas,
+                             heldout_used=False)
 
     # Group held-out events by (leaf, future); EM cost then scales with the
     # number of distinct groups, not events.
@@ -493,5 +503,5 @@ def smooth(root, heldout_events, schema, config):
         if done:
             break
     bucket_lambdas = {b: float(lam[bucket_pos[b]]) for b in buckets}
-    return SmoothedModel(schema, root, bucket_lambdas, heldout_used=True,
-                         em_log=em_log)
+    return SmoothedModel(schema, tree, interpolate(tree, bucket_lambdas),
+                         bucket_lambdas, heldout_used=True, em_log=em_log)

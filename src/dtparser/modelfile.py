@@ -17,9 +17,9 @@ import numpy as np
 from . import derivation, dtm
 from .classtree import ClassTree
 from .config import Config
-from .corpus import Vocabularies
+from .corpus import UNK, Vocabularies
 from .errors import ModelFileError
-from .headfinder import HeadRuleTable, parse_head_rules
+from .headfinder import DIRECTIONS, HeadRule, HeadRuleTable
 from .models import SCHEMA_VERSION, ModelSet, make_schema
 
 MAGIC = "dtparser-model"
@@ -42,13 +42,6 @@ def _vocab_data(vocab):
         "labels": vocab.labels,
         "unk_threshold": vocab.unk_threshold,
     }
-
-
-def _vocab_from(data):
-    return Vocabularies(words=[w for w, _ in data["words"]],
-                        word_counts={w: c for w, c in data["words"] if c},
-                        tags=list(data["tags"]), labels=list(data["labels"]),
-                        unk_threshold=data["unk_threshold"])
 
 
 def _classtree_data(tree):
@@ -76,6 +69,28 @@ def _field(data, key, kind, what):
         raise ModelFileError(
             f"{what} field {key!r} is {value!r}, not a {kind.__name__}")
     return value
+
+
+def _vocab_from(data):
+    what = "vocabularies"
+    words = _field(data, "words", list, what)
+    if not all(isinstance(entry, list) and len(entry) == 2
+               and isinstance(entry[0], str) and _is_int(entry[1])
+               and entry[1] >= 0 for entry in words):
+        raise ModelFileError(
+            f"{what} field 'words' has an entry that is not a [word, "
+            f"count >= 0] pair")
+    if not words or words[0][0] != UNK:
+        raise ModelFileError(f"{what} field 'words' does not start with "
+                             f"{UNK!r}")
+    tags = _field(data, "tags", list, what)
+    labels = _field(data, "labels", list, what)
+    if not all(isinstance(symbol, str) for symbol in tags + labels):
+        raise ModelFileError(f"{what} has a tag or label that is not a string")
+    return Vocabularies(words=[w for w, _ in words],
+                        word_counts={w: c for w, c in words if c},
+                        tags=tags, labels=labels,
+                        unk_threshold=_field(data, "unk_threshold", int, what))
 
 
 def _classtree_from(data):
@@ -111,9 +126,22 @@ def _head_rules_data(heads):
 
 
 def _head_rules_from(data):
-    text = "\n".join(" ".join([parent, direction] + children)
-                     for parent, direction, children in data["rules"])
-    return parse_head_rules(text, default_direction=data["default_direction"])
+    what = "head rules"
+    default = _field(data, "default_direction", str, what)
+    if default not in DIRECTIONS:
+        raise ModelFileError(f"{what} default direction {default!r} is not "
+                             f"one of {'/'.join(DIRECTIONS)}")
+    rules = _field(data, "rules", list, what)
+    for rule in rules:
+        if not (isinstance(rule, list) and len(rule) == 3
+                and isinstance(rule[0], str) and rule[1] in DIRECTIONS
+                and isinstance(rule[2], list)
+                and all(isinstance(child, str) for child in rule[2])):
+            raise ModelFileError(
+                f"{what} entry {rule!r} is not [parent, "
+                f"{'/'.join(DIRECTIONS)}, [child, ...]]")
+    return HeadRuleTable([HeadRule(parent, direction, tuple(children))
+                          for parent, direction, children in rules], default)
 
 
 def _model_data(model):
@@ -162,14 +190,12 @@ def _question_from(q, schema):
 
 def _model_from(data, schema):
     what = f"{schema.kind} model"
-    entries = _field(data, "nodes", list, what)
     futures = {str(i): i for i in range(len(schema.futures))}
+    tree = dtm.FlatTree(schema)
     smoothed = []  # stored leaf distributions in preorder; None elsewhere
-
-    def build(pos):
-        if pos >= len(entries):
-            raise ModelFileError(f"{what} ends inside its tree")
-        entry = entries[pos]
+    for pos, entry in enumerate(_field(data, "nodes", list, what)):
+        if tree.complete:
+            raise ModelFileError(f"{what} has trailing nodes")
         if not (isinstance(entry, dict) and "q" in entry
                 and isinstance(entry.get("counts"), dict)):
             raise ModelFileError(f"{what} node {pos} is not an object with "
@@ -181,30 +207,20 @@ def _model_from(data, schema):
                     f"{what} has count {c!r} for future {i!r}; expected a "
                     f"count >= 0 for a future below {len(futures)}")
             counts[futures[i]] = c
-        node = dtm.DTNode(counts, total=sum(entry["counts"].values()))
-        q = entry["q"]
-        if q is None:
-            smoothed.append(_distribution_from(entry.get("p"), len(futures),
-                                               what))
-            return node, pos + 1
-        node.question = _question_from(q, schema)
-        smoothed.append(None)
-        node.yes, nxt = build(pos + 1)
-        node.no, nxt = build(nxt)
-        return node, nxt
-
-    root, used = build(0)
-    if used != len(entries):
-        raise ModelFileError(f"{what} has trailing nodes")
+        q = None if entry["q"] is None else _question_from(entry["q"], schema)
+        smoothed.append(None if q else _distribution_from(
+            entry.get("p"), len(futures), what))
+        tree.add(dtm.DTNode(counts, q, total=sum(entry["counts"].values())))
+    if not tree.complete:
+        raise ModelFileError(f"{what} ends inside its tree")
     try:
         bucket_lambdas = {int(b): float.fromhex(lam) for b, lam
                           in _field(data, "lambdas", dict, what).items()}
     except (TypeError, ValueError) as exc:
         raise ModelFileError(f"{what} has a malformed lambda: {exc}") from exc
-    return dtm.SmoothedModel(schema, root, bucket_lambdas,
+    return dtm.SmoothedModel(schema, tree, smoothed, bucket_lambdas,
                              heldout_used=_field(data, "heldout_used", bool,
-                                                 what),
-                             em_log=[], smoothed=smoothed)
+                                                 what))
 
 
 def _distribution_from(hexes, n_futures, what):
@@ -279,11 +295,17 @@ def save_classes(vocab, class_trees, path):
         fh.write("\n")
 
 
+def _class_trees_from(data, what):
+    """A class tree of every categorical kind, each checked."""
+    return {kind: _classtree_from(_field(data, kind, object, what))
+            for kind in dtm.CATEGORICAL_KINDS}
+
+
 def load_classes(path):
     data = _read_json(path, CLASSES_MAGIC, "classes file")
-    vocab = _vocab_from(data["vocabularies"])
-    class_trees = {kind: _classtree_from(entry)
-                   for kind, entry in data["class_trees"].items()}
+    vocab = _vocab_from(_field(data, "vocabularies", object, path))
+    class_trees = _class_trees_from(
+        _field(data, "class_trees", object, path), f"{path}: class trees")
     return vocab, class_trees
 
 
@@ -314,9 +336,8 @@ def load_model_set(path):
     renormalize = _field(settings, "renormalize", bool, f"{path}: settings")
 
     vocab = _vocab_from(sections["vocabularies"])
-    class_trees = {kind: _classtree_from(_field(
-        sections["class_trees"], kind, object, f"{path}: class trees"))
-        for kind in dtm.CATEGORICAL_KINDS}
+    class_trees = _class_trees_from(sections["class_trees"],
+                                    f"{path}: class trees")
     heads = _head_rules_from(sections["head_rules"])
     models = {kind: _model_from(
         _field(sections["models"], kind, object, f"{path}: models"),

@@ -157,23 +157,23 @@ def train(grow_trees, smooth_trees, config, heads=None, vocab=None,
         heads = default_head_rules()
     u_max = config.u_max if config.u_max > 0 else observed_u_max(all_trees)
 
-    ctx = derivation.DerivationContext(tags=tuple(vocab.tags),
-                                       labels=tuple(vocab.labels),
-                                       heads=heads, u_max=u_max)
+    model_set = ModelSet(vocab=vocab, heads=heads, class_trees=class_trees,
+                         models={}, u_max=u_max,
+                         renormalize=config.renormalize)
+    ctx = model_set.context()
     grow_events = _encode_corpus(grow_trees, ctx, "grow")
     heldout_events = _encode_corpus(smooth_trees, ctx, "heldout")
 
-    models = {}
+    models = model_set.models
     for kind in derivation.KINDS:
         schema = make_schema(kind, vocab, class_trees)
         log.info("growing %s model from %d events", kind, len(grow_events[kind]))
-        root = dtm.grow(grow_events[kind], schema, config)
-        models[kind] = dtm.smooth(root, heldout_events[kind], schema, config)
+        tree = dtm.grow(grow_events[kind], schema, config)
+        models[kind] = dtm.smooth(tree, heldout_events[kind], schema, config)
         log.info("%s model: %d nodes, %d lambda buckets%s", kind,
                  len(models[kind].nodes), len(models[kind].bucket_lambdas),
                  "" if models[kind].heldout_used else " (no held-out data)")
-    return ModelSet(vocab=vocab, heads=heads, class_trees=class_trees,
-                    models=models, u_max=u_max, renormalize=config.renormalize)
+    return model_set
 
 
 def action_scores(model_set, state):

@@ -20,7 +20,7 @@ from dtparser import derivation, models, modelfile, parseval, search
 from dtparser.config import Config
 from dtparser.corpus import format_tree, leaves, read_treebank, split_corpus
 from dtparser.derivation import DerivationContext
-from dtparser.dtm import FlatTree, as_forced_order_tree, smooth, walk
+from dtparser.dtm import as_forced_order_tree, smooth, walk
 from dtparser.headfinder import default_head_rules
 from dtparser.search import STATUS_MEMORY, STATUS_OPTIMAL
 
@@ -76,8 +76,7 @@ def test_criterion_2_derivations_are_a_bijection(toy_treebank, toy_model_set):
 
 def test_criterion_3_forced_order_tree_equals_the_ngram_table():
     schema, events = test_dtm.tagging_fixture(5000, seed=31)
-    flat = FlatTree(as_forced_order_tree(schema, schema.questions(), events),
-                    schema)
+    flat = as_forced_order_tree(schema, schema.questions(), events)
     table = {}
     for event in events:
         table.setdefault(event.history, Counter())[event.future] += 1
@@ -92,15 +91,16 @@ def test_criterion_3_forced_order_tree_equals_the_ngram_table():
 
 def test_criterion_4_smoothing_contracts(toy_model_set):
     for kind, model in toy_model_set.models.items():
-        for dist in model.smoothed:
-            assert dist.sum() == pytest.approx(1.0, abs=1e-9)
-            assert dist.min() > 0.0
+        for node, dist in zip(model.nodes, model.smoothed):
+            if node.is_leaf:  # only a leaf keeps its distribution
+                assert dist.sum() == pytest.approx(1.0, abs=1e-9)
+                assert dist.min() > 0.0
         assert model.heldout_used
         for earlier, later in zip(model.em_log, model.em_log[1:]):
             assert later >= earlier - 1e-9 * max(1.0, abs(earlier))
 
-    schema, root, heldout = test_dtm.em_fixture()
-    model = smooth(root, heldout, schema, test_dtm.CFG)
+    schema, tree, heldout = test_dtm.em_fixture()
+    model = smooth(tree, heldout, schema, test_dtm.CFG)
     emp = {"root": {"x": 0.5, "y": 0.375, "z": 0.125},
            "yes": {"x": 1.0, "y": 0.0, "z": 0.0},
            "no": {"x": 0.0, "y": 0.75, "z": 0.25}}

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from collections import Counter
 
 import numpy as np
@@ -10,9 +11,9 @@ import pytest
 from dtparser.classtree import fixed_class_tree
 from dtparser.config import Config
 from dtparser.derivation import DerivationEvent
-from dtparser.dtm import (FlatTree, ModelSchema, Question, SmoothedModel,
-                          as_forced_order_tree, grow, iter_nodes, smooth,
-                          walk)
+from dtparser.dtm import (DTNode, FlatTree, ModelSchema, Question,
+                          SmoothedModel, as_forced_order_tree, grow,
+                          interpolate, iter_nodes, smooth, walk)
 from dtparser.errors import NoEvents, SlotLayoutMismatch
 
 CFG = Config(min_events=2, min_gain=0.01)
@@ -31,7 +32,7 @@ def ev(history, future):
 
 def test_pure_node_stays_a_leaf():
     schema = numeric_schema("A")
-    root = grow([ev((i,), "x") for i in range(10)], schema, CFG)
+    root = grow([ev((i,), "x") for i in range(10)], schema, CFG).nodes[0]
     assert root.is_leaf
     assert root.counts.tolist() == [10, 0]
     assert root.empirical().tolist() == [1.0, 0.0]
@@ -40,18 +41,18 @@ def test_pure_node_stays_a_leaf():
 def test_min_events_stops_splitting():
     schema = numeric_schema("A")
     events = [ev((1,), "x"), ev((2,), "y"), ev((1,), "x"), ev((2,), "y")]
-    assert grow(events, schema, CFG.replace(min_events=5)).is_leaf
-    assert not grow(events, schema, CFG).is_leaf
+    assert grow(events, schema, CFG.replace(min_events=5)).nodes[0].is_leaf
+    assert not grow(events, schema, CFG).nodes[0].is_leaf
 
 
 def test_min_gain_stops_splitting():
     schema = numeric_schema("A")
     perfect = [ev((1,), "x")] * 4 + [ev((2,), "y")] * 4
-    assert not grow(perfect, schema, CFG).is_leaf
-    assert grow(perfect, schema, CFG.replace(min_gain=2.0)).is_leaf
+    assert not grow(perfect, schema, CFG).nodes[0].is_leaf
+    assert grow(perfect, schema, CFG.replace(min_gain=2.0)).nodes[0].is_leaf
     # an uninformative slot offers no gain at all
     noise = [ev((1,), "x"), ev((2,), "x"), ev((1,), "y"), ev((2,), "y")]
-    assert grow(noise, schema, CFG).is_leaf
+    assert grow(noise, schema, CFG).nodes[0].is_leaf
 
 
 def test_max_depth_stops_splitting():
@@ -63,10 +64,11 @@ def test_max_depth_stops_splitting():
             events += [ev((a, b), futures[2 * (a - 1) + (b - 1)])] * 3
     shallow = grow(events, ModelSchema("tag", schema.slots, {}, futures),
                    CFG.replace(max_depth=1))
-    assert not shallow.is_leaf
-    assert shallow.yes.is_leaf and shallow.no.is_leaf
+    assert not shallow.nodes[0].is_leaf
+    assert shallow.nodes[shallow.yes[0]].is_leaf
+    assert shallow.nodes[shallow.no[0]].is_leaf
     assert grow(events, ModelSchema("tag", schema.slots, {}, futures),
-                CFG.replace(max_depth=0)).is_leaf
+                CFG.replace(max_depth=0)).nodes[0].is_leaf
 
 
 def test_root_question_on_the_predictive_slot():
@@ -74,10 +76,10 @@ def test_root_question_on_the_predictive_slot():
     schema = numeric_schema("A", "B")
     events = [ev((1, 1 + i % 2), "x") for i in range(4)] + \
              [ev((2, 1 + i % 2), "y") for i in range(4)]
-    root = grow(events, schema, CFG)
-    assert root.question == Question(slot=0, kind="le", arg=1)
-    assert root.yes.counts.tolist() == [4, 0]
-    assert root.no.counts.tolist() == [0, 4]
+    tree = grow(events, schema, CFG)
+    assert tree.nodes[0].question == Question(slot=0, kind="le", arg=1)
+    assert tree.nodes[tree.yes[0]].counts.tolist() == [4, 0]
+    assert tree.nodes[tree.no[0]].counts.tolist() == [0, 4]
 
 
 def test_gain_tie_breaks_to_the_earliest_slot():
@@ -85,14 +87,14 @@ def test_gain_tie_breaks_to_the_earliest_slot():
     schema = numeric_schema("A", "B", "C")
     events = [ev((a, 1 + i % 2, a), "x" if a == 1 else "y")
               for i, a in enumerate([1] * 4 + [2] * 4)]
-    assert grow(events, schema, CFG).question.slot == 0
+    assert grow(events, schema, CFG).nodes[0].question.slot == 0
 
 
 def test_threshold_tie_breaks_to_the_smallest():
     # cuts at 3 and at 4 produce the same split of {3, 5}
     schema = numeric_schema("A")
     events = [ev((3,), "x")] * 4 + [ev((5,), "y")] * 4
-    assert grow(events, schema, CFG).question == Question(0, "le", 3)
+    assert grow(events, schema, CFG).nodes[0].question == Question(0, "le", 3)
 
 
 def test_bit_question_on_a_categorical_slot():
@@ -101,7 +103,7 @@ def test_bit_question_on_a_categorical_slot():
     events = [ev((s,), "x" if s in ("s0", "s1") else "y")
               for s in ("s0", "s1", "s2", "s3") for _ in range(2)]
     # the futures follow bit 1 of the code (s2, s3 vs s0, s1)
-    assert grow(events, schema, CFG).question == Question(0, "bit", 1)
+    assert grow(events, schema, CFG).nodes[0].question == Question(0, "bit", 1)
 
 
 def test_isnull_beats_an_equivalent_numeric_cut():
@@ -109,13 +111,14 @@ def test_isnull_beats_an_equivalent_numeric_cut():
     # question comes first in the canonical order so it wins the tie
     schema = numeric_schema("A")
     events = [ev((None,), "x")] * 4 + [ev((7,), "y")] * 4
-    assert grow(events, schema, CFG).question == Question(0, "isnull", 0)
+    assert grow(events, schema, CFG).nodes[0].question == \
+        Question(0, "isnull", 0)
 
 
-def _node_summary(root):
+def _node_summary(tree):
     """(node id, question, counts) per node, in preorder."""
     return [(i, node.question, node.counts.tolist())
-            for i, node in enumerate(iter_nodes(root))]
+            for i, node in enumerate(iter_nodes(tree))]
 
 
 def test_growing_is_deterministic():
@@ -191,18 +194,16 @@ def tagging_fixture(n_events, seed, words=None):
 def test_forced_order_tree_is_the_conditional_table():
     schema, events = tagging_fixture(400, seed=2)
     questions = schema.questions()
-    root = as_forced_order_tree(schema, questions, events)
+    flat = as_forced_order_tree(schema, questions, events)
     table = {}
     for event in events:
         table.setdefault(event.history, Counter())[event.future] += 1
-    flat = FlatTree(root, schema)
     for history, futures in table.items():
         node = flat.nodes[walk(flat, history)]
         expected = [futures.get(f, 0) for f in schema.futures]
         assert node.counts.tolist() == expected
     # the question order cannot change the counts, only the tree shape
-    flipped = FlatTree(as_forced_order_tree(
-        schema, list(reversed(questions)), events), schema)
+    flipped = as_forced_order_tree(schema, list(reversed(questions)), events)
     for history in table:
         assert flipped.nodes[walk(flipped, history)].counts.tolist() == \
             flat.nodes[walk(flat, history)].counts.tolist()
@@ -211,58 +212,84 @@ def test_forced_order_tree_is_the_conditional_table():
 def test_unobserved_history_reaches_a_zero_count_leaf():
     # the tree is complete: unobserved answer patterns end in empty leaves
     schema, events = tagging_fixture(200, seed=4)
-    flat = FlatTree(as_forced_order_tree(schema, schema.questions(), events),
-                    schema)
+    flat = as_forced_order_tree(schema, schema.questions(), events)
     node = flat.nodes[walk(flat, ("w7", None, None))]  # w7 never occurs
     assert node.is_leaf and node.total == 0
 
 
-def test_walk_rejects_a_missing_branch():
-    import dtparser.dtm as dtm
+def test_forced_order_tree_deeper_than_the_recursion_limit():
+    # one event answers yes to every question, so each no branch is an
+    # empty leaf and the tree is as deep as the question list is long
     schema = numeric_schema("A")
-    root = dtm.DTNode(np.array([1, 1]))
-    root.question = Question(0, "le", 1)
-    root.no = dtm.DTNode(np.array([0, 1]))  # yes branch never built
-    with pytest.raises(KeyError):
-        walk(FlatTree(root, schema), (1,))
+    depth = sys.getrecursionlimit() + 500
+    questions = [Question(0, "le", t) for t in range(depth)]
+    tree = as_forced_order_tree(schema, questions, [ev((0,), "x")])
+    assert tree.complete and len(tree.nodes) == 2 * depth + 1
+    assert tree.nodes[walk(tree, (0,))].counts.tolist() == [1, 0]
+    assert walk(tree, (depth,)) == tree.no[0] == 2 * depth
+
+
+def test_walk_rejects_a_missing_branch():
+    """A walk never meets a missing branch: a model refuses a tree that
+    lacks one, and a complete tree takes no further node."""
+    schema = numeric_schema("A")
+    tree = FlatTree(schema)
+    assert not tree.complete
+    tree.add(DTNode(np.array([1, 1]), Question(0, "le", 1)))
+    tree.add(DTNode(np.array([1, 0])))  # the no branch is never added
+    assert not tree.complete
+    with pytest.raises(ValueError, match="not complete"):
+        SmoothedModel(schema, tree, [None, np.array([0.5, 0.5])],
+                      {0: 0.5, 1: 0.5}, heldout_used=False)
+    tree.add(DTNode(np.array([0, 1])))
+    assert tree.complete
+    with pytest.raises(ValueError, match="complete"):
+        tree.add(DTNode(np.array([0, 1])))
+
+
+def test_build_places_every_node_in_preorder():
+    # the shape I(I(L, L), I(L, I(L, L))), internal nodes I and leaves L
+    shape = (((), ()), ((), ((), ())))
+
+    def split(sub):
+        question = Question(0, "le", 1) if sub else None
+        return DTNode(np.array([1, 1]), question), [(s,) for s in sub]
+
+    tree = FlatTree.build(numeric_schema("A"), split, (shape,))
+    assert tree.complete
+    assert [node.is_leaf for node in tree.nodes] == \
+        [False, False, True, True, False, True, False, True, True]
+    assert tree.parent == [-1, 0, 1, 1, 0, 4, 4, 6, 6]
+    assert tree.yes == [1, 2, -1, -1, 5, -1, 7, -1, -1]
+    assert tree.no == [4, 3, -1, -1, 6, -1, 8, -1, -1]
 
 
 # --- smoothing ---
 
-def leaf_model(counts, lam, futures=("x", "y")):
-    import dtparser.dtm as dtm
-    node = dtm.DTNode(np.asarray(counts))
-    bucket = node.total.bit_length() - 1
-    schema = numeric_schema("A", futures=futures)
-    return SmoothedModel(schema, node, {bucket: lam}, heldout_used=True,
-                         em_log=[])
+def leaf_smoothed(counts, lam):
+    """The smoothed distribution of a lone leaf under lambda `lam`."""
+    tree = FlatTree(numeric_schema("A"))
+    tree.add(DTNode(np.asarray(counts)))
+    bucket = tree.nodes[0].total.bit_length() - 1
+    return interpolate(tree, {bucket: lam})[0]
 
 
 def test_lambda_one_reproduces_the_empirical_distribution():
-    model = leaf_model([6, 2], 1.0)
-    assert model.smoothed[0].tolist() == [0.75, 0.25]
+    assert leaf_smoothed([6, 2], 1.0).tolist() == [0.75, 0.25]
 
 
 def test_lambda_zero_reproduces_the_uniform_distribution():
-    model = leaf_model([6, 2], 0.0)
-    assert model.smoothed[0].tolist() == [0.5, 0.5]
-
-
-def test_distribution_orders_by_probability_then_symbol():
-    model = leaf_model([1, 3], 1.0, futures=("b", "a"))
-    assert model.distribution((1,)) == [("a", 0.75), ("b", 0.25)]
-    tied = leaf_model([2, 2], 1.0, futures=("b", "a"))
-    assert [f for f, _ in tied.distribution((1,))] == ["a", "b"]
+    assert leaf_smoothed([6, 2], 0.0).tolist() == [0.5, 0.5]
 
 
 def em_fixture():
     schema = ModelSchema("tag", (("A", "count"),), {}, ["x", "y", "z"])
     grow_events = ([ev((1,), "x")] * 8
                    + [ev((2,), "y")] * 6 + [ev((2,), "z")] * 2)
-    root = as_forced_order_tree(schema, [Question(0, "le", 1)], grow_events)
+    tree = as_forced_order_tree(schema, [Question(0, "le", 1)], grow_events)
     heldout = ([ev((1,), "x")] * 4 + [ev((1,), "y")] * 2
                + [ev((2,), "y")] * 2 + [ev((2,), "x")] * 1)
-    return schema, root, heldout
+    return schema, tree, heldout
 
 
 def test_em_matches_a_grid_search():
@@ -273,8 +300,8 @@ def test_em_matches_a_grid_search():
     likelihood is computed independently below and maximised over a
     0.01-step grid in the two bucket lambdas.
     """
-    schema, root, heldout = em_fixture()
-    model = smooth(root, heldout, schema, CFG)
+    schema, tree, heldout = em_fixture()
+    model = smooth(tree, heldout, schema, CFG)
     assert model.heldout_used
     assert sorted(model.bucket_lambdas) == [3, 4]
 
@@ -301,17 +328,20 @@ def test_em_matches_a_grid_search():
 
 
 def test_em_heldout_loglik_is_nondecreasing():
-    schema, root, heldout = em_fixture()
-    model = smooth(root, heldout, schema, CFG)
+    schema, tree, heldout = em_fixture()
+    model = smooth(tree, heldout, schema, CFG)
     assert len(model.em_log) > 1
     for earlier, later in zip(model.em_log, model.em_log[1:]):
         assert later >= earlier - 1e-9 * max(1.0, abs(earlier))
 
 
 def test_smoothed_distributions_are_normalized_and_positive():
-    schema, root, heldout = em_fixture()
-    model = smooth(root, heldout, schema, CFG)
-    for dist in model.smoothed:
+    schema, tree, heldout = em_fixture()
+    model = smooth(tree, heldout, schema, CFG)
+    # only the leaves keep a distribution, since only they are reached
+    assert [dist is None for dist in model.smoothed] == \
+        [not node.is_leaf for node in model.nodes]
+    for dist in model.smoothed[1:]:
         assert dist.sum() == pytest.approx(1.0, abs=1e-9)
         assert dist.min() > 0.0
     # a future never seen anywhere still has probability through the
@@ -320,25 +350,25 @@ def test_smoothed_distributions_are_normalized_and_positive():
 
 
 def test_lambda_stays_below_the_cap():
-    schema, root, _ = em_fixture()
+    schema, tree, _ = em_fixture()
     # held-out data drawn exactly from the leaves pushes lambda up hard
     greedy = [ev((1,), "x")] * 50 + [ev((2,), "y")] * 37 + [ev((2,), "z")] * 13
-    model = smooth(root, greedy, schema, CFG)
+    model = smooth(tree, greedy, schema, CFG)
     for lam in model.bucket_lambdas.values():
         assert 0.0 <= lam <= CFG.lambda_max
 
 
 def test_no_heldout_falls_back_to_the_fixed_schedule():
-    schema, root, _ = em_fixture()
-    model = smooth(root, [], schema, CFG)
+    schema, tree, _ = em_fixture()
+    model = smooth(tree, [], schema, CFG)
     assert not model.heldout_used
     assert model.em_log == []
     assert model.bucket_lambdas == {3: 8 / 16, 4: 16 / 24}
 
 
 def test_predict_walks_to_the_right_leaf():
-    schema, root, heldout = em_fixture()
-    model = smooth(root, heldout, schema, CFG)
+    schema, tree, heldout = em_fixture()
+    model = smooth(tree, heldout, schema, CFG)
     yes = model.predict((1,))
     no = model.predict((2,))
     assert yes[schema.future_index["x"]] > no[schema.future_index["x"]]
@@ -346,7 +376,9 @@ def test_predict_walks_to_the_right_leaf():
 
 
 def test_iter_nodes_is_preorder():
-    schema, root, _ = em_fixture()
-    nodes = list(iter_nodes(root))
-    assert FlatTree(root, schema).nodes == nodes
-    assert nodes[0] is root and nodes[1] is root.yes and nodes[2] is root.no
+    _, tree, _ = em_fixture()
+    nodes = list(iter_nodes(tree))
+    assert nodes == tree.nodes
+    assert tree.parent == [-1, 0, 0] and (tree.yes[0], tree.no[0]) == (1, 2)
+    assert [node.counts.tolist() for node in nodes] == \
+        [[8, 6, 2], [8, 0, 0], [0, 6, 2]]

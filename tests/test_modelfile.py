@@ -9,8 +9,7 @@ import pytest
 import toylang
 from dtparser import cli, derivation, modelfile, models
 from dtparser.config import Config
-from dtparser.corpus import split_corpus
-from dtparser.dtm import iter_nodes
+from dtparser.corpus import split_corpus, write_treebank
 from dtparser.errors import ModelFileError
 
 from conftest import toy_config
@@ -48,8 +47,6 @@ def test_round_trip_predictions_are_bit_identical(toy_treebank, toy_model_set,
         for event in events[kind]:
             assert np.array_equal(before.predict(event.history),
                                   after.predict(event.history))
-            assert before.distribution(event.history) == \
-                after.distribution(event.history)
 
 
 def test_round_trip_preserves_structure(toy_model_set, loaded):
@@ -59,12 +56,23 @@ def test_round_trip_preserves_structure(toy_model_set, loaded):
         assert after.bucket_lambdas == before.bucket_lambdas
         assert after.heldout_used == before.heldout_used
         assert len(after.nodes) == len(before.nodes)
-        for i, (ours, theirs) in enumerate(zip(iter_nodes(before.root),
-                                               iter_nodes(after.root))):
+        for ours, theirs in zip(before.nodes, after.nodes):
             assert ours.question == theirs.question
             assert np.array_equal(ours.counts, theirs.counts)
-            if ours.is_leaf:  # only leaf distributions are persisted
-                assert np.array_equal(before.smoothed[i], after.smoothed[i])
+
+
+def test_a_trained_model_and_its_reload_are_alike(toy_model_set, loaded):
+    for kind in derivation.KINDS:
+        trained = toy_model_set.models[kind]
+        again = loaded.models[kind]
+        for table in ("parent", "yes", "no"):
+            assert getattr(again.tree, table) == getattr(trained.tree, table)
+        # both keep a distribution at each leaf and nothing elsewhere
+        assert [dist is None for dist in again.smoothed] == \
+            [not node.is_leaf for node in trained.nodes] == \
+            [dist is None for dist in trained.smoothed]
+        for ours, theirs in zip(trained.smoothed, again.smoothed):
+            assert ours is None or np.array_equal(ours, theirs)
 
 
 def test_round_trip_preserves_settings(toy_model_set, loaded):
@@ -200,6 +208,28 @@ def test_classes_file_rejects_model_magic(saved):
         modelfile.load_classes(saved)
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.pop("vocabularies"),
+    lambda d: d["vocabularies"].update(words=3),
+    lambda d: d["class_trees"].pop("extension"),
+], ids=["missing-vocabularies", "int-words", "missing-extension-tree"])
+def test_broken_classes_file_exits_with_a_data_error(toy_treebank,
+                                                     toy_model_set, tmp_path,
+                                                     capsys, mutate):
+    path = tmp_path / "toy.classes"
+    modelfile.save_classes(toy_model_set.vocab, toy_model_set.class_trees, path)
+    data = json.loads(path.read_text())
+    mutate(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelFileError):
+        modelfile.load_classes(path)
+    write_treebank(toy_treebank, tmp_path / "toy.mrg")
+    assert cli.main(["train", str(tmp_path / "toy.mrg"), "-o",
+                     str(tmp_path / "toy.model"), "--classes", str(path)]) \
+        == cli.EXIT_DATA
+    assert "dtparser train: error:" in capsys.readouterr().err
+
+
 def test_classes_file_rejects_codes_beyond_the_depth(toy_model_set, tmp_path):
     path = tmp_path / "toy.classes"
     modelfile.save_classes(toy_model_set.vocab, toy_model_set.class_trees, path)
@@ -218,6 +248,41 @@ def _resealed(saved, tmp_path, section, mutate):
         mutate(wrapped["data"])
         wrapped["sha256"] = modelfile._checksum(wrapped["data"])
     return _rewrite(saved, tmp_path, reseal)
+
+
+@pytest.mark.parametrize("section, mutate, message", [
+    ("vocabularies", lambda d: d.pop("words"), "lacks its 'words'"),
+    ("vocabularies", lambda d: d.update(words=3), "'words' is 3"),
+    ("vocabularies", lambda d: d["words"].append(["w", -1]), "pair"),
+    ("vocabularies", lambda d: d["words"].append("w"), "pair"),
+    ("vocabularies", lambda d: d["words"].reverse(), "start with"),
+    ("vocabularies", lambda d: d.update(tags="NN"), "'tags'"),
+    ("vocabularies", lambda d: d["labels"].append(7), "not a string"),
+    ("vocabularies", lambda d: d.update(unk_threshold=None),
+     "'unk_threshold'"),
+    ("head_rules", lambda d: d.pop("rules"), "lacks its 'rules'"),
+    ("head_rules", lambda d: d["rules"].append([1, 2]), "head rules entry"),
+    ("head_rules", lambda d: d["rules"].append(["S", "sideways", []]),
+     "head rules entry"),
+    ("head_rules", lambda d: d["rules"].append(["S", "from-left", "NN"]),
+     "head rules entry"),
+    ("head_rules", lambda d: d.update(default_direction="sideways"),
+     "default direction 'sideways'"),
+    ("head_rules", lambda d: d.pop("default_direction"),
+     "'default_direction'"),
+], ids=["missing-words", "int-words", "negative-word-count", "bare-word",
+        "unk-not-first", "string-tags", "int-label", "null-unk-threshold",
+        "missing-rules", "int-rule", "sideways-rule", "string-children",
+        "sideways-default", "missing-default"])
+def test_broken_vocabularies_or_head_rules_exit_with_a_data_error(
+        saved, tmp_path, capsys, section, mutate, message):
+    path = _resealed(saved, tmp_path, section, mutate)
+    with pytest.raises(ModelFileError, match=message):
+        modelfile.load_model_set(path)
+    (tmp_path / "in.txt").write_text("rex runs\n")
+    assert cli.main(["parse", str(path), str(tmp_path / "in.txt")]) == \
+        cli.EXIT_DATA
+    assert "dtparser parse: error:" in capsys.readouterr().err
 
 
 def _first_code(data, kind, value):
@@ -347,6 +412,25 @@ def test_broken_tree_section_is_rejected(saved, tmp_path, mutate, message):
     path = _resealed(saved, tmp_path, "models", mutate)
     with pytest.raises(ModelFileError, match=message):
         modelfile.load_model_set(path)
+
+
+def _deep_tag_tree(data, depth=3000):
+    """Make the tag model's tree a chain `depth` questions deep: each
+    internal node's yes branch is a leaf, its no branch the next node."""
+    nodes = data["tag"]["nodes"]
+    question = {"q": [0, "isnull", 0], "counts": nodes[0]["counts"]}
+    data["tag"]["nodes"] = [question, _leaf(data)] * depth + [_leaf(data)]
+
+
+def test_a_tree_deeper_than_the_recursion_limit_loads_and_parses(
+        saved, tmp_path, capsys):
+    path = _resealed(saved, tmp_path, "models", _deep_tag_tree)
+    tree = modelfile.load_model_set(path).models["tag"].tree
+    assert tree.complete and len(tree.nodes) == 6001
+    (tmp_path / "in.txt").write_text("rex runs\n")
+    assert cli.main(["parse", str(path), str(tmp_path / "in.txt")]) == \
+        cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("(")
 
 
 def test_out_of_range_bits_exit_with_a_data_error(saved, tmp_path, capsys):

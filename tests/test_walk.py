@@ -17,16 +17,16 @@ from conftest import toy_config
 UNKNOWN_WORDS = ("qq", "zz", "Rex", "")
 
 
-def reference_walk(root, schema, history):
-    """The reached node, from the fully encoded history, answered node by
-    node the way growing answers its questions."""
+def reference_walk(tree, schema, history):
+    """The reached node's id, from the fully encoded history, answering
+    each node's question the way growing answers its questions."""
     vals, nulls = schema.encode_history(history)
-    node = root
-    while not node.is_leaf:
-        q = node.question
-        node = node.yes if q.answer_array(vals[q.slot], nulls[q.slot]) \
-            else node.no
-    return node
+    i = 0
+    while not tree.nodes[i].is_leaf:
+        q = tree.nodes[i].question
+        i = tree.yes[i] if q.answer_array(vals[q.slot], nulls[q.slot]) \
+            else tree.no[i]
+    return i
 
 
 def slot_values(schema, vkind):
@@ -37,7 +37,7 @@ def slot_values(schema, vkind):
         tree = schema.encoders[vkind]
         unknown = UNKNOWN_WORDS if tree.fallback is not None else ()
         return [None] + sorted(tree.codes) + list(unknown)
-    near = {t + d for t in schema.thresholds for d in (-1, 0, 1)}
+    near = {t + d for t in dtm.SIZE_THRESHOLDS for d in (-1, 0, 1)}
     return [None] + sorted(near | {0, 64})
 
 
@@ -46,9 +46,8 @@ def histories(schema):
                        for _, vkind in schema.slots))
 
 
-def assert_same_node(tree, root, schema, history):
-    expected = reference_walk(root, schema, history)
-    assert tree.nodes[walk(tree, history)] is expected
+def assert_same_node(tree, schema, history):
+    assert walk(tree, history) == reference_walk(tree, schema, history)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +64,7 @@ def test_walk_matches_the_reference(toy_model_set, reloaded, kind, data):
     history = data.draw(histories(toy_model_set.models[kind].schema))
     for model_set in (toy_model_set, reloaded):
         model = model_set.models[kind]
-        assert_same_node(model.tree, model.root, model.schema, history)
+        assert_same_node(model.tree, model.schema, history)
 
 
 @pytest.mark.parametrize("kind", derivation.KINDS)
@@ -101,9 +100,9 @@ def forced():
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_walk_matches_the_reference_on_a_forced_order_tree(forced, data):
-    schema, root = forced
+    schema, tree = forced
     history = data.draw(histories(schema))
-    assert_same_node(FlatTree(root, schema), root, schema, history)
+    assert_same_node(tree, schema, history)
 
 
 def test_walk_reads_only_the_questioned_slots(toy_model_set):
@@ -120,9 +119,8 @@ def test_walk_reads_only_the_questioned_slots(toy_model_set):
         history[i] = "no such symbol"  # would fail to encode
     with pytest.raises(UnknownId):
         model.schema.encode_history(tuple(history))
-    node = walk(tree, tuple(history))
-    assert tree.nodes[node] is reference_walk(model.root, model.schema,
-                                              (None,) * tree.width)
+    assert walk(tree, tuple(history)) == \
+        reference_walk(tree, model.schema, (None,) * tree.width)
 
 
 def test_unknown_word_takes_the_fallback_code(toy_model_set):
@@ -136,12 +134,12 @@ def test_unknown_word_takes_the_fallback_code(toy_model_set):
     schema = toy_model_set.models[derivation.KIND_TAG].schema
     assert schema.slots[0][1] == "word"
     counts = np.zeros(len(schema.futures), dtype=np.int64)
-    root = dtm.DTNode(counts)
-    root.question = dtm.Question(0, "bit", (unk & -unk).bit_length() - 1)
-    root.yes, root.no = dtm.DTNode(counts), dtm.DTNode(counts)
-    tree = FlatTree(root, schema)
+    tree = FlatTree(schema)
+    for question in (dtm.Question(0, "bit", (unk & -unk).bit_length() - 1),
+                     None, None):
+        tree.add(dtm.DTNode(counts, question))
     history = ("never seen",) + (None,) * (tree.width - 1)
-    assert tree.nodes[walk(tree, history)] is root.yes
+    assert walk(tree, history) == tree.yes[0]
 
 
 def test_history_length_is_checked(toy_model_set):
