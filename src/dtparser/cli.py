@@ -19,6 +19,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 
 from . import corpus, models, parseval, search
 from .config import Config, load_config
@@ -234,17 +235,17 @@ def cmd_parse(args, out):
         lines = sys.stdin.read().splitlines()
     jobs = [line.split() for line in lines]
 
-    if config.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers,
-                                 initializer=_worker_init,
-                                 initargs=(args.model, config)) as pool:
-            results = list(pool.map(_worker_parse, jobs, chunksize=8))
-        for line in results:  # map keeps the input order
+    with ExitStack() as stack:
+        if config.workers > 1 and len(jobs) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=config.workers, initializer=_worker_init,
+                initargs=(args.model, config)))
+            results = pool.map(_worker_parse, jobs, chunksize=8)
+        else:
+            model_set = load_model_set(args.model)
+            results = (_parse_line(model_set, words, config) for words in jobs)
+        for line in results:  # in input order, each as soon as it is done
             print(line, file=out)
-    else:
-        model_set = load_model_set(args.model)
-        for words in jobs:
-            print(_parse_line(model_set, words, config), file=out)
     return EXIT_OK
 
 

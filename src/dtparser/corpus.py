@@ -14,6 +14,11 @@ Both parse to the same in-memory representation.  Tokens may be any
 non-empty string without whitespace or parentheses; there is no escape
 mechanism.  In the underscore format the tag is whatever follows the
 *last* underscore, so words may themselves contain underscores.
+
+No tree is walked by recursion, so a tree of any depth reads, writes and
+scores.  `postorder(tree)` yields ``(node, start, end)`` for every node
+after its children, with the first and last word positions it covers,
+counted from 0; `format_tree`, `leaves` and PARSEVAL build on it.
 """
 
 import logging
@@ -57,15 +62,39 @@ def parse_trees(text, fmt="underscore"):
     EmptyConstituent on malformed input; positions are character offsets.
     """
     _check_format(fmt)
-    tokens = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
     trees = []
-    i = 0
-    while i < len(tokens):
-        tok, pos = tokens[i]
-        if tok != "(":
+    stack = []  # open groups: [open position, label, children, bare tokens]
+    for m in _TOKEN_RE.finditer(text):
+        tok, pos = m.group(), m.start()
+        if stack and stack[-1][1] is None:  # the token after '(' is its label
+            if tok in ("(", ")"):
+                raise EmptyConstituent(stack[-1][0],
+                                       "constituent without a label")
+            stack[-1][1] = tok
+        elif tok == "(":
+            stack.append([pos, None, [], []])
+        elif not stack:
             raise UnbalancedBrackets(pos, f"expected '(' but found {tok!r}")
-        tree, i = _parse_group(tokens, i, fmt)
-        trees.append(tree)
+        elif tok == ")":
+            open_pos, label, children, bare = stack.pop()
+            if bare:  # a penn preterminal: exactly one bare token, no groups
+                if children or len(bare) > 1:
+                    raise MissingTag(*(bare[-1] if children else bare[0]))
+                node = RawLeaf(word=bare[0][0], tag=label)
+            elif not children:
+                raise EmptyConstituent(open_pos)
+            else:
+                node = RawTree(label=label, children=tuple(children))
+            (stack[-1][2] if stack else trees).append(node)
+        elif fmt == "penn":
+            stack[-1][3].append((tok, pos))
+        else:  # word_TAG, split at the last underscore
+            word, sep, tag = tok.rpartition("_")
+            if not sep or not word or not tag:
+                raise MissingTag(tok, pos)
+            stack[-1][2].append(RawLeaf(word=word, tag=tag))
+    if stack:
+        raise UnbalancedBrackets(stack[-1][0], "unclosed '('")
     return trees
 
 
@@ -77,64 +106,40 @@ def parse_tree(text, fmt="underscore"):
     return trees[0]
 
 
-def _parse_group(tokens, i, fmt):
-    # tokens[i] is the opening parenthesis of this group
-    open_pos = tokens[i][1]
-    i += 1
-    if i >= len(tokens):
-        raise UnbalancedBrackets(open_pos, "unclosed '('")
-    label, label_pos = tokens[i]
-    if label in ("(", ")"):
-        raise EmptyConstituent(open_pos, "constituent without a label")
-    i += 1
-
-    children = []
-    bare = []  # (token, pos) terminals seen directly under this label
-    while True:
-        if i >= len(tokens):
-            raise UnbalancedBrackets(open_pos, "unclosed '('")
-        tok, pos = tokens[i]
-        if tok == ")":
-            i += 1
-            break
-        if tok == "(":
-            child, i = _parse_group(tokens, i, fmt)
-            children.append(child)
-        else:
-            i += 1
-            if fmt == "underscore":
-                children.append(_parse_leaf_token(tok, pos))
+def postorder(tree):
+    """Every node of `tree` after its children, left to right, as
+    (node, start, end): the first and last word position it covers,
+    counted from 0.  An explicit stack, so any depth is walked."""
+    position = 0
+    stack = [(None, 0, iter((tree,)))]  # a frame above the root
+    while stack:
+        node, start, kids = stack[-1]
+        for child in kids:
+            if isinstance(child, RawLeaf):
+                yield child, position, position
+                position += 1
             else:
-                bare.append((tok, pos))
-
-    if fmt == "penn" and bare:
-        # A preterminal is a label with exactly one bare token and no groups.
-        if children or len(bare) > 1:
-            tok, pos = bare[0] if not children else bare[-1]
-            raise MissingTag(tok, pos)
-        return RawLeaf(word=bare[0][0], tag=label), i
-
-    if not children:
-        raise EmptyConstituent(open_pos)
-    return RawTree(label=label, children=tuple(children)), i
-
-
-def _parse_leaf_token(token, position):
-    word, sep, tag = token.rpartition("_")
-    if not sep or not word or not tag:
-        raise MissingTag(token, position)
-    return RawLeaf(word=word, tag=tag)
+                stack.append((child, position, iter(child.children)))
+                break
+        else:
+            stack.pop()
+            if stack:
+                yield node, start, position - 1
 
 
 def format_tree(tree, fmt="underscore"):
     """Render a tree back to its bracketed text form."""
     _check_format(fmt)
-    if isinstance(tree, RawLeaf):
-        if fmt == "underscore":
-            return f"{tree.word}_{tree.tag}"
-        return f"({tree.tag} {tree.word})"
-    inner = " ".join(format_tree(c, fmt) for c in tree.children)
-    return f"({tree.label} {inner})"
+    rendered = []  # texts of finished nodes whose parent is still open
+    for node, _, _ in postorder(tree):
+        if isinstance(node, RawLeaf):
+            rendered.append(f"{node.word}_{node.tag}" if fmt == "underscore"
+                            else f"({node.tag} {node.word})")
+        else:
+            first = len(rendered) - len(node.children)
+            inner = " ".join(rendered[first:])
+            rendered[first:] = [f"({node.label} {inner})"]
+    return rendered[0]
 
 
 def read_treebank(path, fmt="underscore"):
@@ -150,21 +155,17 @@ def write_treebank(trees, path, fmt="underscore"):
 
 def leaves(tree):
     """All RawLeaf nodes of `tree`, left to right."""
-    if isinstance(tree, RawLeaf):
-        return [tree]
-    out = []
-    for child in tree.children:
-        out.extend(leaves(child))
-    return out
+    return [node for node, _, _ in postorder(tree) if isinstance(node, RawLeaf)]
 
 
 def internal_nodes(tree):
     """All RawTree nodes of `tree`, preorder."""
-    if isinstance(tree, RawLeaf):
-        return []
-    out = [tree]
-    for child in tree.children:
-        out.extend(internal_nodes(child))
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, RawLeaf):
+            out.append(node)
+            stack.extend(reversed(node.children))
     return out
 
 

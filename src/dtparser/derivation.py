@@ -336,22 +336,28 @@ def word_histories(word, unknown):
 
 # --- encoding trees to events and back ---
 
-def _postorder(node, extension):
-    """The (kind, value) actions that derive `node`, given the extension
-    that attaches it: its postorder, a word's tag or, after all of its
-    children, a constituent's label, each followed by the extension."""
-    if isinstance(node, RawLeaf):
-        yield KIND_TAG, node.tag
-    else:
-        if not node.children:
-            raise NonContiguousTree("internal node with no children")
-        last = len(node.children) - 1
-        for pos, child in enumerate(node.children):
-            yield from _postorder(child, "unary" if last == 0
-                                  else "right" if pos == 0
-                                  else "left" if pos == last else "up")
-        yield KIND_LABEL, node.label
-    yield KIND_EXTENSION, extension
+def _postorder(tree):
+    """The (kind, value) actions that derive `tree`: its postorder, a
+    word's tag or, after all of its children, a constituent's label, each
+    followed by the extension that its position among its siblings fixes."""
+    if isinstance(tree, RawLeaf):
+        raise NonContiguousTree("a bare tagged word is not a tree")
+    order = []  # preorder, right child first: its reverse is the postorder
+    stack = [(tree, "root")]
+    while stack:
+        node, extension = stack.pop()
+        order.append((node, extension))
+        if not isinstance(node, RawLeaf):
+            kids = node.children
+            if not kids:
+                raise NonContiguousTree("internal node with no children")
+            attach = (("unary",) if len(kids) == 1 else
+                      ("right",) + ("up",) * (len(kids) - 2) + ("left",))
+            stack.extend(zip(kids, attach))
+    for node, extension in reversed(order):
+        yield ((KIND_TAG, node.tag) if isinstance(node, RawLeaf)
+               else (KIND_LABEL, node.label))
+        yield KIND_EXTENSION, extension
 
 
 def encode(tree, ctx):
@@ -360,12 +366,9 @@ def encode(tree, ctx):
     Returns a list of DerivationEvent.  Raises UnaryChainTooLong when the
     tree stacks more unary constituents than the context allows.
     """
-    if isinstance(tree, RawLeaf):
-        raise NonContiguousTree("a bare tagged word is not a tree")
-    actions = list(_postorder(tree, "root"))
     state = initial_state(sentence_words(tree), ctx)
     events = []
-    for kind, value in actions:
+    for kind, value in _postorder(tree):
         if kind == KIND_EXTENSION and value == "unary":
             chain = state.stack[-1].unary_chain
             if chain >= ctx.u_max:
@@ -397,24 +400,29 @@ def decode(words, events, ctx):
 
 def to_raw_tree(node):
     """Strip derivation bookkeeping from a completed constituent."""
-    if node.is_leaf:
-        return RawLeaf(word=node.word, tag=node.tag)
-    return RawTree(label=node.label,
-                   children=tuple(to_raw_tree(c) for c in node.children))
+    order, stack = [], [node]  # preorder, right child first
+    while stack:
+        order.append(stack.pop())
+        stack.extend(order[-1].children)
+    built = []  # finished subtrees whose parent is still to come
+    for node in reversed(order):  # the postorder
+        if node.is_leaf:
+            built.append(RawLeaf(word=node.word, tag=node.tag))
+        else:
+            first = len(built) - len(node.children)
+            built[first:] = [RawTree(label=node.label,
+                                     children=tuple(built[first:]))]
+    return built[0]
 
 
 def max_unary_chain(tree):
     """Most deeply stacked unary constituents anywhere in `tree`."""
     best = 0
-
-    def depth(node):
-        nonlocal best
-        if isinstance(node, RawLeaf):
-            return 0
-        kids = [depth(c) for c in node.children]
-        mine = kids[0] + 1 if len(node.children) == 1 else 0
-        best = max(best, mine)
-        return mine
-
-    depth(tree)
+    stack = [(tree, 0)]  # (node, unary constituents directly above it)
+    while stack:
+        node, above = stack.pop()
+        best = max(best, above)
+        if not isinstance(node, RawLeaf):
+            run = above + 1 if len(node.children) == 1 else 0
+            stack.extend((child, run) for child in node.children)
     return best

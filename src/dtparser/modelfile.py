@@ -295,17 +295,29 @@ def save_classes(vocab, class_trees, path):
         fh.write("\n")
 
 
-def _class_trees_from(data, what):
-    """A class tree of every categorical kind, each checked."""
-    return {kind: _classtree_from(_field(data, kind, object, what))
-            for kind in dtm.CATEGORICAL_KINDS}
+def _class_trees_from(data, vocab, what):
+    """A class tree of every categorical kind, each checked, and each
+    giving every symbol of its vocabulary its own code."""
+    class_trees = {kind: _classtree_from(_field(data, kind, object, what))
+                   for kind in dtm.CATEGORICAL_KINDS}
+    for kind, symbols in (("word", vocab.words), ("tag", vocab.tags),
+                          ("label", vocab.labels + [derivation.TAG_LABEL]),
+                          ("extension", derivation.EXTENSIONS)):
+        codes = class_trees[kind].codes
+        for symbol in symbols:
+            if symbol not in codes:  # membership, not the fallback lookup
+                raise ModelFileError(
+                    f"{what}: the {kind} class tree has no code for "
+                    f"{symbol!r}")
+    return class_trees
 
 
 def load_classes(path):
     data = _read_json(path, CLASSES_MAGIC, "classes file")
     vocab = _vocab_from(_field(data, "vocabularies", object, path))
     class_trees = _class_trees_from(
-        _field(data, "class_trees", object, path), f"{path}: class trees")
+        _field(data, "class_trees", object, path), vocab,
+        f"{path}: class trees")
     return vocab, class_trees
 
 
@@ -336,7 +348,7 @@ def load_model_set(path):
     renormalize = _field(settings, "renormalize", bool, f"{path}: settings")
 
     vocab = _vocab_from(sections["vocabularies"])
-    class_trees = _class_trees_from(sections["class_trees"],
+    class_trees = _class_trees_from(sections["class_trees"], vocab,
                                     f"{path}: class trees")
     heads = _head_rules_from(sections["head_rules"])
     models = {kind: _model_from(

@@ -22,7 +22,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import classtree, derivation, dtm
-from .corpus import UNK, build_vocabularies, leaves, sentence_tags
+from .corpus import (UNK, RawLeaf, build_vocabularies, internal_nodes,
+                     leaves, sentence_tags, sentence_words)
 from .errors import DTParserError, IllegalAction
 from .headfinder import default_head_rules
 
@@ -98,16 +99,9 @@ def build_class_trees(trees, vocab, config):
         tags = sentence_tags(tree)
         for a, b in zip(tags, tags[1:]):
             tag_bigrams[a, b] += 1
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            symbols = []
-            for child in node.children:
-                if hasattr(child, "children"):
-                    symbols.append(child.label)
-                    stack.append(child)
-                else:
-                    symbols.append(derivation.TAG_LABEL)
+        for node in internal_nodes(tree):
+            symbols = [derivation.TAG_LABEL if isinstance(child, RawLeaf)
+                       else child.label for child in node.children]
             for a, b in zip(symbols, symbols[1:]):
                 label_bigrams[a, b] += 1
     window = config.cluster_window
@@ -209,13 +203,13 @@ def score_action(model_set, state, action):
 
 
 def derivation_logprob(model_set, tree):
-    """Natural-log probability the models assign to `tree`'s derivation."""
-    ctx = model_set.context()
-    events = derivation.encode(tree, ctx)
-    state = derivation.initial_state([l.word for l in leaves(tree)], ctx)
+    """Natural-log probability the models assign to `tree`'s derivation:
+    one replay of its actions, each scored by `score_action`, which
+    rejects an illegal one."""
+    state = derivation.initial_state(sentence_words(tree),
+                                     model_set.context())
     total = 0.0
-    for event in events:
-        total += math.log(score_action(model_set, state, (event.kind, event.future)))
-        state = derivation.apply_action(state, (event.kind, event.future),
-                                        validate=False)
+    for action in derivation._postorder(tree):
+        total += math.log(score_action(model_set, state, action))
+        state = derivation.apply_action(state, action, validate=False)
     return total

@@ -17,7 +17,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import leaves
+from .corpus import RawLeaf, leaves, postorder
 from .errors import WordMismatch
 
 log = logging.getLogger(__name__)
@@ -58,20 +58,11 @@ def constituents(tree, include_root=True, multiset=True):
     With `multiset=False`, duplicated (span, label) triples -- unary
     chains repeating a label -- collapse to one.
     """
-    spans = []
-
-    def walk(node, start):
-        if not hasattr(node, "children"):  # a tagged word
-            return start + 1
-        end = start
-        for child in node.children:
-            end = walk(child, end)
-        spans.append((start, end - 1, node.label))
-        return end
-
-    walk(tree, 0)
+    spans = [(start, end, node.label)
+             for node, start, end in postorder(tree)
+             if not isinstance(node, RawLeaf)]
     if not include_root:
-        spans.pop()  # the root is appended last
+        spans.pop()  # the root comes last in postorder
     if not multiset:
         spans = list(dict.fromkeys(spans))
     return spans
@@ -87,8 +78,9 @@ def _crosses(span, gold_spans):
 
 def score_pair(gold, test, include_root=True, multiset=True):
     """Score one test tree against its gold tree."""
-    gold_words = [l.word for l in leaves(gold)]
-    test_words = [l.word for l in leaves(test)]
+    gold_leaves, test_leaves = leaves(gold), leaves(test)
+    gold_words = [l.word for l in gold_leaves]
+    test_words = [l.word for l in test_leaves]
     if gold_words != test_words:
         raise WordMismatch(f"gold words {gold_words!r} != test words {test_words!r}")
 
@@ -104,7 +96,7 @@ def score_pair(gold, test, include_root=True, multiset=True):
     unique_gold_spans = set(gold_spans)
     crossings = sum(1 for s, e, _ in test_cons if _crosses((s, e), unique_gold_spans))
 
-    tags_correct = sum(1 for g, t in zip(leaves(gold), leaves(test))
+    tags_correct = sum(1 for g, t in zip(gold_leaves, test_leaves)
                        if g.tag == t.tag)
     return SentenceScore(length=len(gold_words),
                          gold_constituents=len(gold_cons),

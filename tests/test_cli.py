@@ -2,6 +2,7 @@
 
 import io
 import json
+import multiprocessing
 import re
 
 import pytest
@@ -10,6 +11,7 @@ import toylang
 from dtparser import cli, corpus, modelfile, search
 from dtparser.config import Config
 from dtparser.corpus import format_tree, leaves, write_treebank
+from dtparser.errors import DTParserError
 from dtparser.search import SearchResult
 
 from conftest import toy_config
@@ -190,6 +192,34 @@ def test_parse_workers_preserve_order(workdir, model_path, tmp_path, capsys):
     assert capsys.readouterr().out == serial
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the patched line parser")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_parse_prints_finished_lines_as_they_come(model_path, tmp_path,
+                                                  capsys, monkeypatch,
+                                                  workers):
+    sentences = toylang.short_sentences(16, 79)
+    _write_sentences(tmp_path / "in.txt", sentences)
+    assert cli.main(["parse", model_path, str(tmp_path / "in.txt")]) == 0
+    finished = capsys.readouterr().out.splitlines()
+    real = cli._parse_line
+
+    def failing(model_set, words, config):
+        if words == ["boom"]:
+            raise DTParserError("boom")
+        return real(model_set, words, config)
+
+    monkeypatch.setattr(cli, "_parse_line", failing)
+    _write_sentences(tmp_path / "in.txt", sentences + [["boom"]])
+    assert cli.main(["parse", model_path, str(tmp_path / "in.txt"),
+                     "--workers", workers]) == cli.EXIT_DATA
+    printed = capsys.readouterr().out.splitlines()
+    # Lines finished before the failing one are already out, in order.
+    assert printed and printed == finished[:len(printed)]
+    if workers == "1":
+        assert printed == finished
+
+
 def test_parse_memory_cap_is_reported(model_path, tmp_path, capsys):
     _write_sentences(tmp_path / "in.txt",
                      ["the old ball runs a old cat in the park".split()])
@@ -300,6 +330,24 @@ def test_report_appends_a_length_profile(workdir, toy_treebank, capsys):
     frequencies = [int(row.split(",")[-1]) for row in profile]
     assert sum(frequencies) == len(toy_treebank)
     assert all(row.split(",")[2] == "100.0%" for row in profile)
+
+
+def test_trees_deeper_than_the_recursion_limit_train_and_score(tmp_path,
+                                                                capsys):
+    deep = toylang.DEEP
+    tb = str(tmp_path / "deep.mrg")
+    write_treebank(toylang.corpus(20, 3) + [toylang.unary_chain(deep),
+                                           toylang.right_branching(deep)], tb)
+    classes = str(tmp_path / "deep.classes")
+    assert cli.main(["classes", tb, "-o", classes]) == 0
+    assert cli.main(["train", tb, "-o", str(tmp_path / "deep.model"),
+                     "--classes", classes]) == 0
+    assert f"unary chain cap: {deep}" in capsys.readouterr().out
+    for command in ("eval", "report"):
+        assert cli.main([command, tb, tb, "--ranges", f"1:{deep + 1}"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "Comparisons,22" in lines
+        assert "Labelled Recall,100.0%" in lines
 
 
 # --- plumbing ---

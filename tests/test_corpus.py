@@ -2,14 +2,18 @@
 
 import logging
 import random
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toylang
-from dtparser.corpus import (UNK, RawLeaf, RawTree, build_vocabularies,
-                             format_tree, internal_nodes, leaves, parse_tree,
-                             parse_trees, read_treebank, sentence_tags,
-                             sentence_words, split_corpus, write_treebank)
+from dtparser.corpus import (FORMATS, UNK, RawLeaf, RawTree,
+                             build_vocabularies, format_tree, internal_nodes,
+                             leaves, parse_tree, parse_trees, postorder,
+                             read_treebank, sentence_tags, sentence_words,
+                             split_corpus, write_treebank)
 from dtparser.errors import (EmptyConstituent, EmptyCorpus,
                              FractionOutOfRange, MissingTag,
                              UnbalancedBrackets)
@@ -125,6 +129,74 @@ def test_treebank_file_round_trip(tmp_path):
     path = tmp_path / "toy.mrg"
     write_treebank(trees, path)
     assert read_treebank(path) == trees
+
+
+def test_postorder_puts_children_first_with_word_spans():
+    tree = parse_tree("(S (N a_T b_T) (V c_T))")
+    walked = [(node.label if isinstance(node, RawTree) else node.word,
+               start, end) for node, start, end in postorder(tree)]
+    assert walked == [("a", 0, 0), ("b", 1, 1), ("N", 0, 1), ("c", 2, 2),
+                      ("V", 2, 2), ("S", 0, 2)]
+    assert list(postorder(RawLeaf("a", "T"))) == [(RawLeaf("a", "T"), 0, 0)]
+
+
+_SYMBOL = string.ascii_letters + string.digits + "-.,$'`<>"
+
+
+def _trees():
+    """Random trees whose text both formats can read back: tokens without
+    whitespace or parentheses, and no underscore in a tag."""
+    words = st.text(_SYMBOL + "_", min_size=1, max_size=4)
+    tags = st.text(_SYMBOL, min_size=1, max_size=3)
+    labels = st.text(_SYMBOL + "_", min_size=1, max_size=3)
+    leaf = st.builds(RawLeaf, words, tags)
+    nodes = st.recursive(
+        leaf,
+        lambda kids: st.builds(RawTree, labels,
+                               st.lists(kids, min_size=1,
+                                        max_size=4).map(tuple)),
+        max_leaves=20)
+    return st.builds(RawTree, labels,
+                     st.lists(nodes, min_size=1, max_size=4).map(tuple))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=_trees(), fmt=st.sampled_from(FORMATS))
+def test_format_then_parse_gives_back_the_tree(tree, fmt):
+    assert parse_tree(format_tree(tree, fmt), fmt) == tree
+
+
+DEEP = toylang.DEEP
+DEEP_TEXT = {
+    ("unary-chain", "underscore"): "(A " * DEEP + "w_T" + ")" * DEEP,
+    ("unary-chain", "penn"): "(A " * DEEP + "(T w)" + ")" * DEEP,
+    ("right-branching", "underscore"):
+        "(A w_T " * (DEEP - 1) + "(A w_T w_T)" + ")" * (DEEP - 1),
+    ("right-branching", "penn"):
+        "(A (T w) " * (DEEP - 1) + "(A (T w) (T w))" + ")" * (DEEP - 1),
+}
+DEEP_TREES = {"unary-chain": toylang.unary_chain,
+              "right-branching": toylang.right_branching}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("shape", DEEP_TREES)
+def test_trees_deeper_than_the_recursion_limit_read_and_write(shape, fmt):
+    tree = DEEP_TREES[shape](DEEP)
+    text = DEEP_TEXT[shape, fmt]
+    assert format_tree(tree, fmt) == text
+    # Dataclass == recurses, so deep trees are compared through their text.
+    read = parse_tree(text, fmt)
+    for out_fmt in FORMATS:
+        assert format_tree(read, out_fmt) == DEEP_TEXT[shape, out_fmt]
+    n_words = 1 if shape == "unary-chain" else DEEP + 1
+    assert sentence_words(read) == ["w"] * n_words
+    assert sentence_tags(read) == ["T"] * n_words
+    nodes = internal_nodes(read)
+    assert len(nodes) == DEEP and nodes[0] is read
+    assert all(node.label == "A" for node in nodes)
+    assert [end - start for node, start, end in postorder(read)
+            if isinstance(node, RawTree)][-1] == n_words - 1
 
 
 # --- vocabularies ---

@@ -337,6 +337,27 @@ def test_max_unary_chain():
     assert max_unary_chain(parse_tree("(S (A (B w_T)) (C u_T v_T))")) == 2
 
 
+def test_max_unary_chain_of_trees_deeper_than_the_recursion_limit():
+    assert max_unary_chain(toylang.unary_chain(toylang.DEEP)) == toylang.DEEP
+    assert max_unary_chain(toylang.right_branching(toylang.DEEP)) == 0
+
+
+@pytest.mark.parametrize("make", [toylang.unary_chain,
+                                  toylang.right_branching],
+                         ids=["unary-chain", "right-branching"])
+def test_trees_deeper_than_the_recursion_limit_encode_and_decode(make):
+    tree = make(toylang.DEEP)
+    ctx = DerivationContext(tags=("T",), labels=("A",),
+                            heads=default_head_rules(), u_max=toylang.DEEP)
+    events = encode(tree, ctx)
+    words = ["w"] * (1 if make is toylang.unary_chain else toylang.DEEP + 1)
+    # One tag per word, one label per constituent, one extension per node.
+    assert len(events) == 2 * (len(words) + toylang.DEEP)
+    assert events[-1].future == "root"
+    # Dataclass == recurses, so deep trees are compared through their text.
+    assert format_tree(decode(words, events, ctx)) == format_tree(tree)
+
+
 def test_bare_leaf_is_not_a_tree():
     with pytest.raises(NonContiguousTree):
         encode(RawLeaf("w", "T"), toy_ctx())

@@ -212,7 +212,9 @@ def test_classes_file_rejects_model_magic(saved):
     lambda d: d.pop("vocabularies"),
     lambda d: d["vocabularies"].update(words=3),
     lambda d: d["class_trees"].pop("extension"),
-], ids=["missing-vocabularies", "int-words", "missing-extension-tree"])
+    lambda d: d["class_trees"]["tag"]["codes"].pop("DT"),
+], ids=["missing-vocabularies", "int-words", "missing-extension-tree",
+        "tag-tree-missing-a-tag"])
 def test_broken_classes_file_exits_with_a_data_error(toy_treebank,
                                                      toy_model_set, tmp_path,
                                                      capsys, mutate):
@@ -283,6 +285,26 @@ def test_broken_vocabularies_or_head_rules_exit_with_a_data_error(
     assert cli.main(["parse", str(path), str(tmp_path / "in.txt")]) == \
         cli.EXIT_DATA
     assert "dtparser parse: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, symbol", [
+    ("word", "dog"), ("tag", "DT"), ("label", "NP"),
+    ("label", derivation.TAG_LABEL), ("extension", "left"),
+])
+def test_class_tree_missing_a_symbol_exits_with_a_data_error_at_load(
+        saved, tmp_path, capsys, kind, symbol):
+    path = _resealed(saved, tmp_path, "class_trees",
+                     lambda d: d[kind]["codes"].pop(symbol))
+    with pytest.raises(ModelFileError,
+                       match=f"the {kind} class tree has no code for "
+                             f"'{symbol}'"):
+        modelfile.load_model_set(path)
+    (tmp_path / "in.txt").write_text("the dog sees rex\n")
+    assert cli.main(["parse", str(path), str(tmp_path / "in.txt")]) == \
+        cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before any sentence is parsed
+    assert "dtparser parse: error:" in captured.err
 
 
 def _first_code(data, kind, value):

@@ -9,7 +9,7 @@ import toylang
 from dtparser import derivation, models
 from dtparser.corpus import UNK, internal_nodes, leaves, parse_tree
 from dtparser.derivation import EXTENSIONS, TAG_LABEL
-from dtparser.errors import IllegalAction, UnaryChainTooLong
+from dtparser.errors import DTParserError, IllegalAction, UnaryChainTooLong
 from dtparser.headfinder import default_head_rules
 
 from conftest import toy_config
@@ -131,6 +131,16 @@ def test_derivation_logprob_is_pure(toy_treebank, toy_model_set):
     first = models.derivation_logprob(toy_model_set, tree)
     assert first < 0.0
     assert models.derivation_logprob(toy_model_set, tree) == first
+
+
+@pytest.mark.parametrize("text", [
+    "(S (NP rex_XX))",                   # a tag the model does not know
+    "(Q (NP rex_NNP))",                  # a label the model does not know
+    "(S (S (S (S (S (NP rex_NNP))))))",  # a unary chain above the cap
+], ids=["unknown-tag", "unknown-label", "unary-chain-above-the-cap"])
+def test_derivation_logprob_rejects_an_underivable_tree(toy_model_set, text):
+    with pytest.raises(DTParserError):
+        models.derivation_logprob(toy_model_set, parse_tree(text))
 
 
 def test_derivation_logprob_sums_step_scores(toy_treebank, toy_model_set):

@@ -4,6 +4,7 @@ import logging
 
 import pytest
 
+import toylang
 from dtparser import parseval
 from dtparser.corpus import parse_tree
 from dtparser.errors import WordMismatch
@@ -45,6 +46,25 @@ def test_constituents_are_spans_with_root_last():
                                            (0, 2, "S")]
     assert parseval.constituents(tree, include_root=False) == \
         [(0, 1, "A"), (2, 2, "B")]
+
+
+@pytest.mark.parametrize("make", [toylang.unary_chain,
+                                  toylang.right_branching],
+                         ids=["unary-chain", "right-branching"])
+def test_trees_deeper_than_the_recursion_limit_score(make):
+    tree = make(toylang.DEEP)
+    score = score_pair(tree, make(toylang.DEEP))
+    assert score.gold_constituents == score.test_constituents == toylang.DEEP
+    assert score.correct_labelled == score.correct_unlabelled == toylang.DEEP
+    assert score.crossings == 0
+    assert score.tags_correct == score.length == \
+        (1 if make is toylang.unary_chain else toylang.DEEP + 1)
+    spans = parseval.constituents(tree, include_root=False, multiset=False)
+    if make is toylang.unary_chain:
+        assert spans == [(0, 0, "A")]  # the chain's 1,200 brackets are one
+    else:
+        assert spans == [(toylang.DEEP - 1 - depth, toylang.DEEP, "A")
+                         for depth in range(toylang.DEEP - 1)]
 
 
 def test_multiset_toggle_collapses_unary_repeats():

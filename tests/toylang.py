@@ -116,3 +116,25 @@ def random_corpus(n, seed):
     """`n` random trees from one seeded generator."""
     rng = random.Random(seed)
     return [random_tree(rng) for _ in range(n)]
+
+
+# --- trees deeper than Python's recursion limit ---
+
+DEEP = 1200
+
+
+def unary_chain(depth):
+    """`depth` unary A constituents stacked over the one word w_T."""
+    tree = RawLeaf("w", "T")
+    for _ in range(depth):
+        tree = RawTree("A", (tree,))
+    return tree
+
+
+def right_branching(depth):
+    """`depth` nested A constituents, each a word w_T then the next one
+    down; the innermost holds two words."""
+    tree = RawTree("A", (RawLeaf("w", "T"), RawLeaf("w", "T")))
+    for _ in range(depth - 1):
+        tree = RawTree("A", (RawLeaf("w", "T"), tree))
+    return tree
