@@ -136,18 +136,6 @@ def _mi_terms(m, row_mass, col_mass, total):
         return np.where(m > 0, m * np.log2(ratio), 0.0) / total
 
 
-def average_mutual_information(matrix):
-    """MI (bits) between left and right class of an adjacent pair, under
-    the empirical distribution of `matrix` (class x class bigram counts)."""
-    m = np.asarray(matrix, dtype=float)
-    total = m.sum()
-    if total == 0:
-        return 0.0
-    pl = m.sum(axis=1)
-    pr = m.sum(axis=0)
-    return float(_mi_terms(m, pl[:, None], pr[None, :], total).sum())
-
-
 def _loss_context(m):
     """What every row of `_merge_losses` reads of count matrix `m`: its
     total, its row and column sums, its MI terms and the MI mass touching

@@ -15,10 +15,11 @@ non-empty string without whitespace or parentheses; there is no escape
 mechanism.  In the underscore format the tag is whatever follows the
 *last* underscore, so words may themselves contain underscores.
 
-No tree is walked by recursion, so a tree of any depth reads, writes and
-scores.  `postorder(tree)` yields ``(node, start, end)`` for every node
-after its children, with the first and last word positions it covers,
-counted from 0; `format_tree`, `leaves` and PARSEVAL build on it.
+No tree is walked by recursion, so a tree of any depth reads, writes,
+scores, compares, hashes and prints.  `postorder(tree)` yields ``(node,
+start, end)`` for every node after its children, with the first and last
+word positions it covers, counted from 0; `format_tree`, `leaves`,
+PARSEVAL and RawTree's ==, hash() and repr() build on it.
 """
 
 import logging
@@ -44,10 +45,40 @@ class RawLeaf:
     tag: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RawTree:
+    """A constituent; its ==, hash() and repr() walk `postorder`."""
+
     label: str
     children: tuple  # of RawTree | RawLeaf, left to right
+
+    def _shape(self):
+        """Each node in postorder: a leaf, or a constituent's label and
+        child count.  The sequence determines the tree."""
+        return [node if isinstance(node, RawLeaf)
+                else (node.label, len(node.children))
+                for node, _, _ in postorder(self)]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._shape() == other._shape()
+
+    def __hash__(self):
+        return hash(tuple(self._shape()))
+
+    def __repr__(self):
+        done = []  # reprs of finished nodes whose parent is still open
+        for node, _, _ in postorder(self):
+            if isinstance(node, RawLeaf):
+                done.append(repr(node))
+                continue
+            first = len(done) - len(node.children)
+            kids = ", ".join(done[first:])
+            if len(node.children) == 1:
+                kids += ","  # a one-element tuple
+            done[first:] = [f"RawTree(label={node.label!r}, children=({kids}))"]
+        return done[0]
 
 
 def _check_format(fmt):

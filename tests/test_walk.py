@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_dtm
+from reference import as_forced_order_tree
 from dtparser import derivation, dtm, modelfile
 from dtparser.corpus import UNK
-from dtparser.dtm import FlatTree, as_forced_order_tree, walk
+from dtparser.dtm import FlatTree, walk
 from dtparser.errors import SlotLayoutMismatch, UnknownId
 
 from conftest import toy_config
