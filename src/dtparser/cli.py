@@ -11,7 +11,8 @@ Commands::
 Shared flags: ``--format`` (treebank format), ``--seed``, ``--config``
 (key=value file; command-line flags win).  Exit codes: 0 success, 1 usage,
 2 data error (bad input files, malformed trees, model mismatches), 3
-internal error.
+internal error, which for ``parse`` includes any sentence printed as an
+ERROR line.
 """
 
 import argparse
@@ -199,6 +200,7 @@ def cmd_train(args, out):
 
 SKIP_MARKER = "SKIP"
 NOPARSE_MARKER = "NOPARSE"
+ERROR_MARKER = "ERROR"
 
 _worker_state = {}
 
@@ -213,16 +215,23 @@ def _worker_parse(words):
 
 
 def _parse_line(model_set, words, config):
-    """One output line for one sentence (never raises on parse failures)."""
+    """One output line for one sentence.  It never raises: a sentence
+    whose parse fails unexpectedly comes back as an ERROR line, and its
+    traceback goes to the log, so the rest of the batch still parses."""
     if not words:
         return f"{SKIP_MARKER}\t\tempty line"
     if len(words) > config.max_length:
         return (f"{SKIP_MARKER}\t\t{len(words)} words exceed the "
                 f"{config.max_length}-word limit")
-    result = search.parse(model_set, words, config)
-    if result.tree is None:
-        return f"{NOPARSE_MARKER}\t\t{result.status}"
-    text = corpus.format_tree(result.tree, config.format)
+    try:
+        result = search.parse(model_set, words, config)
+        if result.tree is None:
+            return f"{NOPARSE_MARKER}\t\t{result.status}"
+        text = corpus.format_tree(result.tree, config.format)
+    except Exception as exc:  # one sentence must not sink the batch
+        log.exception("parsing %r failed", " ".join(words))
+        reason = " ".join(f"{type(exc).__name__}: {exc}".split())
+        return f"{ERROR_MARKER}\t\t{reason}"
     return f"{text}\t{result.logprob:.6f}\t{result.status}"
 
 
@@ -244,9 +253,11 @@ def cmd_parse(args, out):
         else:
             model_set = load_model_set(args.model)
             results = (_parse_line(model_set, words, config) for words in jobs)
+        failed = False
         for line in results:  # in input order, each as soon as it is done
             print(line, file=out)
-    return EXIT_OK
+            failed |= line.startswith(f"{ERROR_MARKER}\t")
+    return EXIT_INTERNAL if failed else EXIT_OK
 
 
 # --- eval / report ---

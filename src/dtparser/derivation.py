@@ -44,9 +44,22 @@ out-of-range values are None.  Untagged words right of the decision point
 expose only their surface word; their tag/label/extension read None.
 Word nodes reached by the derivation carry the reserved pseudo-label
 ``TAG_LABEL`` in label slots.
+
+The layout is read two ways.  `extract_history` builds every slot of a
+decision's history as one tuple: the bulk path, which `encode` uses to
+turn treebank trees into training events, and the oracle for the other
+way.  `HistoryView` is a read-only view of the same slots that computes one
+slot when it is indexed, through per-kind slot readers built once from
+`slot_layout`; search scores a decision through it, since a model's
+tree walk reads only the few slots its questions ask.
+
+Nodes and states are immutable named tuples, so successor states share
+every node they do not change.
 """
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .corpus import RawLeaf, RawTree, sentence_words
 from .errors import (DeadEnd, EmptyInput, IllegalAction, NonContiguousTree,
@@ -77,8 +90,7 @@ def slot_layout(kind):
     return tuple(slots)
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
+class Node(NamedTuple):
     """One active node: a (possibly still featureless) subtree."""
 
     word: str          # head word; surface word at word nodes
@@ -110,8 +122,7 @@ class DerivationContext:
     u_max: int
 
 
-@dataclass(frozen=True, slots=True)
-class DerivationState:
+class DerivationState(NamedTuple):
     ctx: DerivationContext
     words: tuple
     stack: tuple   # built active nodes, left to right
@@ -193,59 +204,50 @@ def apply_action(state, action, validate=True):
         if kind != legal_kind or value not in candidates:
             raise IllegalAction(f"action {action!r} not legal here "
                                 f"(expected {legal_kind} in {candidates})")
+    ctx, words, stack, tagged, _ = state
     if kind == KIND_TAG:
-        i = len(state.tagged)
-        leaf = Node(word=state.words[i], tag=value, label=None, extension=None,
-                    start=i, end=i, children=(), unary_chain=0)
-        return DerivationState(ctx=state.ctx, words=state.words,
-                               stack=state.stack + (leaf,),
-                               tagged=state.tagged + (value,), complete=False)
+        i = len(tagged)
+        leaf = Node(words[i], value, None, None, i, i, (), 0)
+        return DerivationState(ctx, words, stack + (leaf,), tagged + (value,),
+                               False)
 
-    top = state.stack[-1]
+    top = stack[-1]
     if kind == KIND_LABEL:
         symbols = [c.label if not c.is_leaf else c.tag for c in top.children]
-        head = top.children[state.ctx.heads.head_child(value, symbols)]
-        node = Node(word=head.word, tag=head.tag, label=value, extension=None,
-                    start=top.start, end=top.end, children=top.children,
-                    unary_chain=top.unary_chain)
-        return DerivationState(ctx=state.ctx, words=state.words,
-                               stack=state.stack[:-1] + (node,),
-                               tagged=state.tagged, complete=False)
+        head = top.children[ctx.heads.head_child(value, symbols)]
+        node = Node(head.word, head.tag, value, None, top.start, top.end,
+                    top.children, top.unary_chain)
+        return DerivationState(ctx, words, stack[:-1] + (node,), tagged,
+                               False)
 
-    node = Node(word=top.word, tag=top.tag, label=top.label, extension=value,
-                start=top.start, end=top.end, children=top.children,
-                unary_chain=top.unary_chain)
+    node = Node(top.word, top.tag, top.label, value, top.start, top.end,
+                top.children, top.unary_chain)
     if value in ("right", "up"):
-        stack = state.stack[:-1] + (node,)
-        return DerivationState(ctx=state.ctx, words=state.words, stack=stack,
-                               tagged=state.tagged, complete=False)
+        return DerivationState(ctx, words, stack[:-1] + (node,), tagged,
+                               False)
     if value == "root":
-        return DerivationState(ctx=state.ctx, words=state.words,
-                               stack=state.stack[:-1] + (node,),
-                               tagged=state.tagged, complete=True)
+        return DerivationState(ctx, words, stack[:-1] + (node,), tagged, True)
 
     if value == "unary":
         children = (node,)
         chain = node.unary_chain + 1
-        base = len(state.stack) - 1
+        base = len(stack) - 1
     else:  # left: absorb the chain of up-nodes and the opening right-node
         chain_nodes = [node]
-        i = len(state.stack) - 2
-        while i >= 0 and state.stack[i].extension == "up":
-            chain_nodes.append(state.stack[i])
+        i = len(stack) - 2
+        while i >= 0 and stack[i].extension == "up":
+            chain_nodes.append(stack[i])
             i -= 1
-        assert i >= 0 and state.stack[i].extension == "right", \
+        assert i >= 0 and stack[i].extension == "right", \
             "legal 'left' always closes back to a 'right' node"
-        chain_nodes.append(state.stack[i])
+        chain_nodes.append(stack[i])
         children = tuple(reversed(chain_nodes))
         chain = 0
         base = i
-    parent = Node(word=None, tag=None, label=None, extension=None,
-                  start=children[0].start, end=children[-1].end,
-                  children=children, unary_chain=chain)
-    return DerivationState(ctx=state.ctx, words=state.words,
-                           stack=state.stack[:base] + (parent,),
-                           tagged=state.tagged, complete=False)
+    parent = Node(None, None, None, None, children[0].start, children[-1].end,
+                  children, chain)
+    return DerivationState(ctx, words, stack[:base] + (parent,), tagged,
+                           False)
 
 
 # --- history extraction ---
@@ -266,19 +268,23 @@ def _untagged_slots(state, i):
     return _NULL_SLOTS
 
 
+def _pending(state, kind):
+    """The pending decision, which `kind`, when given, must name."""
+    dec = _decision(state)
+    if dec is None:
+        raise IllegalAction("no pending decision to condition on")
+    if kind is not None and kind != dec[0]:
+        raise IllegalAction(f"pending decision is {dec[0]}, not {kind}")
+    return dec
+
+
 def extract_history(state, kind=None):
     """The conditioning history for the pending decision, as a slot tuple.
 
     See the module docstring for the layout.  `kind` is only checked
     against the actual pending decision when given.
     """
-    dec = _decision(state)
-    if dec is None:
-        raise IllegalAction("no pending decision to condition on")
-    actual_kind, target = dec
-    if kind is not None and kind != actual_kind:
-        raise IllegalAction(f"pending decision is {actual_kind}, not {kind}")
-
+    actual_kind, target = _pending(state, kind)
     stack = state.stack
     if actual_kind == KIND_TAG:
         i = target
@@ -320,6 +326,119 @@ def extract_history(state, kind=None):
             else:
                 slots.extend((None, None))
     return tuple(slots)
+
+
+class HistoryView:
+    """The history of `state`'s pending decision as a read-only sequence
+    whose slot i is computed when it is read, and equals
+    `extract_history(state, kind)[i]`; `kind` is checked as there.  A
+    tree walk reads only the few slots its questions ask."""
+
+    __slots__ = ("_readers", "words", "tagged", "stack", "kids", "right")
+
+    def __init__(self, state, kind=None):
+        kind, target = _pending(state, kind)
+        self._readers = _SLOT_READERS[kind]
+        self.words = state.words
+        self.tagged = state.tagged
+        self.stack = state.stack
+        if kind == KIND_TAG:
+            self.kids = ()
+            self.right = target + 1
+        else:
+            self.kids = target.children
+            self.right = target.end + 1  # the first word right of the node
+
+    def __len__(self):
+        return len(self._readers)
+
+    def __getitem__(self, slot):
+        return self._readers[slot](self)
+
+
+# Reader of one feature of a built node, by feature name (see _node_slots).
+_NODE_FEATURES = {
+    "word": attrgetter("word"),
+    "tag": attrgetter("tag"),
+    "label": lambda node: node.label if node.children else TAG_LABEL,
+    "ext": attrgetter("extension"),
+    "nch": lambda node: len(node.children),
+    "width": lambda node: node.end - node.start + 1,
+}
+
+
+def _constant(value):
+    return lambda view: value
+
+
+def _built(where, k, feat):
+    """Slot reader: feature `feat` of node `k` of a view's `stack` or
+    `kids` (`where`), None when there is no such node."""
+    nodes_of = attrgetter(where)
+    read = _NODE_FEATURES[feat]
+    need = k + 1 if k >= 0 else -k
+
+    def reader(view):
+        nodes = nodes_of(view)
+        return read(nodes[k]) if len(nodes) >= need else None
+    return reader
+
+
+def _untagged(d, feat):
+    """Slot reader: feature `feat` of the word `d` places past the first
+    word right of the decision, which only its surface form shows (see
+    _untagged_slots); None past the sentence."""
+    if feat == "word":
+        def reader(view):
+            j = view.right + d
+            return view.words[j] if j < len(view.words) else None
+        return reader
+    value = {"nch": 0, "width": 1}.get(feat)
+    return lambda view: value if view.right + d < len(view.words) else None
+
+
+def _behind(b, feat):
+    """Slot reader: the word or tag (`feat`) `b` places left of the word
+    being tagged, None before the sentence."""
+    seq = attrgetter("words" if feat == "word" else "tagged")
+
+    def reader(view):
+        j = view.right - 1 - b
+        return seq(view)[j] if j >= 0 else None
+    return reader
+
+
+def _slot_readers(kind):
+    """One reader per slot of `slot_layout(kind)`, in order."""
+    left = 1 if kind == KIND_TAG else 2  # nearest built node left: stack[-left]
+    readers = {
+        "l1": lambda feat: _built("stack", -left, feat),
+        "l2": lambda feat: _built("stack", -left - 1, feat),
+        "r1": lambda feat: _untagged(0, feat),
+        "r2": lambda feat: _untagged(1, feat),
+        "cl1": lambda feat: _built("kids", 0, feat),
+        "cl2": lambda feat: _built("kids", 1, feat),
+        "cr1": lambda feat: _built("kids", -1, feat),
+        "cr2": lambda feat: _built("kids", -2, feat),
+        "w-1": lambda feat: _behind(1, feat),
+        "w-2": lambda feat: _behind(2, feat),
+    }
+    if kind == KIND_TAG:  # the word being tagged
+        cur = {"tag": None, "label": TAG_LABEL, "ext": None, "nch": 0,
+               "width": 1}
+        readers["cur"] = lambda feat: (_behind(0, feat) if feat == "word"
+                                       else _constant(cur[feat]))
+    elif kind == KIND_LABEL:  # head word and tag wait for the label
+        readers["cur"] = lambda feat: (_built("stack", -1, feat)
+                                       if feat in ("nch", "width")
+                                       else _constant(None))
+    else:
+        readers["cur"] = lambda feat: _built("stack", -1, feat)
+    return tuple(readers[node](feat) for node, feat in
+                 (name.split(".") for name, _ in slot_layout(kind)))
+
+
+_SLOT_READERS = {kind: _slot_readers(kind) for kind in KINDS}
 
 
 def word_histories(word, unknown):

@@ -381,7 +381,13 @@ class SmoothedModel:
     """A complete tree and its leaves' smoothed distributions; the predictor.
     `smoothed[i]` is leaf i's distribution over `schema.futures` and None
     at an internal node, where no walk ends, alike in a trained model, in
-    the model file and in the model loaded from it."""
+    the model file and in the model loaded from it.
+
+    The model owns its rows and marks them read-only, so no caller of
+    `predict` can change what later predictions read.  `log_row(i)` is
+    row i as natural logs, the form search adds up; it is filled the
+    first time a decision reaches leaf i, not when the model is built,
+    since a parse reaches few of the leaves."""
 
     def __init__(self, schema, tree, smoothed, bucket_lambdas, heldout_used,
                  em_log=()):
@@ -392,6 +398,10 @@ class SmoothedModel:
         self.root = tree.nodes[0]
         self.nodes = tree.nodes
         self.smoothed = list(smoothed)
+        for dist in self.smoothed:
+            if dist is not None:
+                dist.setflags(write=False)
+        self._log_rows = [None] * len(self.smoothed)
         self.bucket_lambdas = dict(bucket_lambdas)
         self.heldout_used = heldout_used
         self.em_log = list(em_log)  # held-out log-likelihood per iteration
@@ -399,6 +409,15 @@ class SmoothedModel:
     def predict(self, history):
         """Probabilities over `schema.futures` (read-only array)."""
         return self.smoothed[walk(self.tree, history)]
+
+    def log_row(self, leaf):
+        """The natural logs of leaf `leaf`'s probabilities, as a list over
+        `schema.futures`, computed the first time a decision reaches it."""
+        row = self._log_rows[leaf]
+        if row is None:
+            row = self._log_rows[leaf] = [
+                math.log(p) for p in self.smoothed[leaf].tolist()]
+        return row
 
 
 def _bucket(node):

@@ -171,34 +171,39 @@ def train(grow_trees, smooth_trees, config, heads=None, vocab=None,
 
 
 def action_scores(model_set, state):
-    """The pending decision kind and each legal value's probability.
+    """The pending decision kind and each legal value's score: the natural
+    log of its probability.
 
     Probabilities come straight from the decision-tree model; values made
     illegal by the derivation rules are dropped without renormalising, so
     a partial derivation's probability never understates its completions.
     (Set `renormalize` to rescale the legal ones to sum to 1 instead.)
+    The model's tree walk reads the history through a
+    `derivation.HistoryView`, which computes only the slots it asks.
     """
     kind, candidates = derivation.legal_actions(state)  # may raise DeadEnd
     model = model_set.models[kind]
-    history = derivation.extract_history(state, kind)
-    probs = model.predict(history)
-    scored = [(value, float(probs[model.schema.future_index[value]]))
-              for value in candidates]
+    leaf = dtm.walk(model.tree, derivation.HistoryView(state, kind))
+    index = model.schema.future_index
     if model_set.renormalize:
+        probs = model.smoothed[leaf]
+        scored = [(value, float(probs[index[value]])) for value in candidates]
         mass = sum(p for _, p in scored)
-        scored = [(value, p / mass) for value, p in scored]
-    return kind, scored
+        return kind, [(value, math.log(p / mass)) for value, p in scored]
+    logs = model.log_row(leaf)
+    return kind, [(value, logs[index[value]]) for value in candidates]
 
 
 def score_action(model_set, state, action):
-    """P(action | state); the action must be legal here."""
+    """log P(action | state), as `action_scores` scores it; the action
+    must be legal here."""
     kind, value = action
     legal_kind, scored = action_scores(model_set, state)
     if kind != legal_kind:
         raise IllegalAction(f"pending decision is {legal_kind}, not {kind}")
-    for candidate, p in scored:
+    for candidate, score in scored:
         if candidate == value:
-            return p
+            return score
     raise IllegalAction(f"{value!r} is not legal here")
 
 
@@ -210,6 +215,6 @@ def derivation_logprob(model_set, tree):
                                      model_set.context())
     total = 0.0
     for action in derivation._postorder(tree):
-        total += math.log(score_action(model_set, state, action))
+        total += score_action(model_set, state, action)
         state = derivation.apply_action(state, action, validate=False)
     return total

@@ -35,6 +35,11 @@ parse whenever one can still be finished).
 depth-first enumeration of every legal decision sequence with only the
 safe never-discards-an-optimum bound applied.
 
+Scores are natural-log probabilities throughout: `models.action_scores`
+gives each legal decision its log probability, read from the reached
+leaf's row of logs, and a successor's `logprob` is its parent's plus
+that score.
+
 Expanding a hypothesis scores every legal successor but records each one
 only as (parent, decision, log probability, `h`); a successor's
 derivation state is built when it is popped and survives the incumbent
@@ -129,8 +134,8 @@ def _expand(model_set, hyp, bound=None):
     except DeadEnd:
         return []
     h = 0.0 if bound is None else bound.after(hyp, kind)
-    return [_Hypothesis(None, hyp.logprob + math.log(p), h, hyp, kind, value)
-            for value, p in scored]
+    return [_Hypothesis(None, hyp.logprob + score, h, hyp, kind, value)
+            for value, score in scored]
 
 
 def _result(best, status, expanded):

@@ -239,6 +239,33 @@ def test_parse_reports_no_parse_lines(model_path, tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().out == "NOPARSE\t\tno-parse\n"
 
 
+def test_one_failed_sentence_does_not_sink_the_batch(model_path, tmp_path,
+                                                     capsys, caplog,
+                                                     monkeypatch):
+    sentences = toylang.short_sentences(6, 80)
+    _write_sentences(tmp_path / "in.txt", sentences)
+    assert cli.main(["parse", model_path, str(tmp_path / "in.txt")]) == 0
+    finished = capsys.readouterr().out.splitlines()
+    real = search.parse
+
+    def failing(model_set, words, config):
+        if words == ["boom"]:
+            raise RuntimeError("search fell over\n\tat one sentence")
+        return real(model_set, words, config)
+
+    monkeypatch.setattr(cli.search, "parse", failing)
+    _write_sentences(tmp_path / "in.txt",
+                     sentences[:3] + [["boom"]] + sentences[3:])
+    assert cli.main(["parse", model_path, str(tmp_path / "in.txt")]) == \
+        cli.EXIT_INTERNAL
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == finished[:3] + [
+        "ERROR\t\tRuntimeError: search fell over at one sentence"] + \
+        finished[3:]
+    failures = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(failures) == 1 and failures[0].exc_info is not None
+
+
 def test_parse_rejects_a_corrupt_model(tmp_path, capsys):
     bad = tmp_path / "bad.model"
     bad.write_text("{}")

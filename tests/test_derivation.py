@@ -16,7 +16,7 @@ from reference import decode, replay
 from dtparser.corpus import RawLeaf, RawTree, format_tree, parse_tree
 from dtparser.derivation import (KIND_EXTENSION, KIND_LABEL,
                                  KIND_TAG, TAG_LABEL, DerivationContext,
-                                 apply_action, encode, extract_history,
+                                 HistoryView, apply_action, encode, extract_history,
                                  initial_state, legal_actions, max_unary_chain,
                                  slot_layout, to_raw_tree)
 from dtparser.errors import (DeadEnd, EmptyInput, IllegalAction,
@@ -283,6 +283,8 @@ def test_complete_state_accepts_nothing():
         legal_actions(state)
     with pytest.raises(IllegalAction):
         extract_history(state)
+    with pytest.raises(IllegalAction):
+        HistoryView(state)
 
 
 def test_illegal_action_rejected():
@@ -297,6 +299,24 @@ def test_extract_history_checks_kind():
     state = initial_state(["u"], toy_ctx())
     with pytest.raises(IllegalAction):
         extract_history(state, KIND_LABEL)
+    with pytest.raises(IllegalAction):
+        HistoryView(state, KIND_LABEL)
+
+
+def test_nodes_and_states_are_immutable():
+    state = apply_action(initial_state(["u", "v"], toy_ctx()), ("tag", "T1"))
+    node = state.stack[-1]
+    with pytest.raises(AttributeError):
+        node.word = "w"
+    with pytest.raises(AttributeError):
+        node.note = "a new attribute"
+    with pytest.raises(AttributeError):
+        state.complete = True
+    with pytest.raises(AttributeError):
+        state.note = "a new attribute"
+    assert (node.word, node.tag, node.is_leaf, node.width) == \
+        ("u", "T1", True, 1)
+    assert not state.complete
 
 
 # --- misc ---

@@ -75,6 +75,21 @@ def test_a_trained_model_and_its_reload_are_alike(toy_model_set, loaded):
             assert ours is None or np.array_equal(ours, theirs)
 
 
+def test_predictions_are_read_only(toy_treebank, toy_model_set, loaded):
+    events = _sample_events(toy_model_set, toy_treebank[:2], per_kind=1)
+    for kind in derivation.KINDS:
+        trained = toy_model_set.models[kind]
+        again = loaded.models[kind]
+        for model in (trained, again):
+            assert not any(dist.flags.writeable
+                           for dist in model.smoothed if dist is not None)
+            history = events[kind][0].history
+            with pytest.raises(ValueError):
+                model.predict(history)[:] = 1e-9
+            assert np.array_equal(trained.predict(history),
+                                  again.predict(history))
+
+
 def test_round_trip_preserves_settings(toy_model_set, loaded):
     assert loaded.u_max == toy_model_set.u_max
     assert loaded.renormalize == toy_model_set.renormalize

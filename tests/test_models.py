@@ -80,7 +80,7 @@ def test_common_word_tags_with_near_certainty(toy_model_set):
     state = derivation.initial_state(["the", "dog", "runs"], ctx)
     kind, scored = models.action_scores(toy_model_set, state)
     assert kind == "tag"
-    assert dict(scored)["DT"] > 0.9
+    assert math.exp(dict(scored)["DT"]) > 0.9
 
 
 def test_action_scores_do_not_overstate(toy_model_set):
@@ -88,9 +88,9 @@ def test_action_scores_do_not_overstate(toy_model_set):
     state = derivation.initial_state(["a", "cat", "sleeps"], ctx)
     while not state.complete:
         kind, scored = models.action_scores(toy_model_set, state)
-        total = sum(p for _, p in scored)
+        total = sum(math.exp(score) for _, score in scored)
         assert 0.0 < total <= 1.0 + 1e-9
-        assert all(p > 0.0 for _, p in scored)
+        assert all(-math.inf < score <= 0.0 for _, score in scored)
         value = max(scored, key=lambda item: item[1])[0]
         state = derivation.apply_action(state, (kind, value))
 
@@ -101,7 +101,8 @@ def test_renormalized_scores_sum_to_one(toy_model_set):
     state = derivation.initial_state(["a", "cat", "sleeps"], ctx)
     for _ in range(4):
         kind, scored = models.action_scores(renorm, state)
-        assert sum(p for _, p in scored) == pytest.approx(1.0, abs=1e-9)
+        assert sum(math.exp(score) for _, score in scored) == \
+            pytest.approx(1.0, abs=1e-9)
         state = derivation.apply_action(state, (kind, scored[0][0]))
 
 
@@ -152,7 +153,7 @@ def test_derivation_logprob_sums_step_scores(toy_treebank, toy_model_set):
     total = 0.0
     for event in events:
         action = (event.kind, event.future)
-        total += math.log(models.score_action(toy_model_set, state, action))
+        total += models.score_action(toy_model_set, state, action)
         state = derivation.apply_action(state, action)
     assert models.derivation_logprob(toy_model_set, tree) == \
         pytest.approx(total, rel=1e-12)

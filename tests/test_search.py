@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toylang
-from dtparser import derivation, models, search
+from dtparser import derivation, dtm, models, search
 from dtparser.config import Config
 from dtparser.corpus import (RawLeaf, RawTree, format_tree, leaves,
                              parse_tree, split_corpus)
-from dtparser.errors import (EmptyInput, EnumerationBudgetExceeded,
-                             SentenceTooLong, UnaryChainTooLong)
+from dtparser.errors import (DeadEnd, EmptyInput, EnumerationBudgetExceeded,
+                             IllegalAction, SentenceTooLong,
+                             UnaryChainTooLong)
 from dtparser.search import STATUS_MEMORY, STATUS_OPTIMAL
 
 from conftest import toy_config
@@ -132,6 +133,51 @@ def assert_matches_enumeration(model_set, words, config):
     assert format_tree(got.tree) == format_tree(oracle.tree)
     assert got.logprob == oracle.logprob
     return got
+
+
+@pytest.mark.parametrize("model", ["toy", "random-tree"])
+def test_history_view_agrees_with_extract_history(model, toy_model_set,
+                                                  random_tree_model_set,
+                                                  config, monkeypatch):
+    """On every state the search scores, each slot of the lazy view equals
+    the bulk history's, and the tree walk reaches the same leaf."""
+    if model == "toy":
+        model_set = toy_model_set
+        sentences = toylang.short_sentences(20, 81) + [LONG_SENTENCE]
+    else:
+        model_set = random_tree_model_set
+        rng = random.Random(82)
+        sentences = [[rng.choice(RANDOM_VOCABULARY) for _ in range(3)]
+                     for _ in range(4)]
+    reached = []  # (state, the kind of its pending decision, or None)
+    real = search.action_scores
+
+    def recording(model_set, state):
+        try:
+            kind, scored = real(model_set, state)
+        except DeadEnd:
+            reached.append((state, None))
+            raise
+        reached.append((state, kind))
+        return kind, scored
+
+    monkeypatch.setattr(search, "action_scores", recording)
+    for words in sentences:
+        search.parse(model_set, words, config)
+    assert {kind for _, kind in reached} >= set(derivation.KINDS)
+    for state, kind in reached:
+        try:
+            history = derivation.extract_history(state)
+        except IllegalAction:
+            with pytest.raises(IllegalAction):
+                derivation.HistoryView(state)
+            continue
+        view = derivation.HistoryView(state, kind)
+        assert len(view) == len(history)
+        assert tuple(view[i] for i in range(len(view))) == history
+        if kind is not None:
+            tree = model_set.models[kind].tree
+            assert dtm.walk(tree, view) == dtm.walk(tree, history)
 
 
 def test_search_matches_enumeration_on_an_ambiguous_model(
