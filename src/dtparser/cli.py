@@ -235,27 +235,29 @@ def _parse_line(model_set, words, config):
     return f"{text}\t{result.logprob:.6f}\t{result.status}"
 
 
+def _sentences(fh):
+    """The words of each line of `fh.read().splitlines()`, read lazily."""
+    return (line.split() for chunk in fh for line in chunk.splitlines())
+
+
 def cmd_parse(args, out):
     config = _load_settings(args)
-    if args.input and args.input != "-":
-        with open(args.input, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = sys.stdin.read().splitlines()
-    jobs = [line.split() for line in lines]
-
     with ExitStack() as stack:
-        if config.workers > 1 and len(jobs) > 1:
+        fh = (stack.enter_context(open(args.input, encoding="utf-8"))
+              if args.input and args.input != "-" else sys.stdin)
+        jobs = _sentences(fh)
+        # Loaded here even for the workers, so a bad file exits 2 at once.
+        model_set = load_model_set(args.model)
+        if config.workers > 1:  # the pool reads every line ahead
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=config.workers, initializer=_worker_init,
                 initargs=(args.model, config)))
             results = pool.map(_worker_parse, jobs, chunksize=8)
         else:
-            model_set = load_model_set(args.model)
             results = (_parse_line(model_set, words, config) for words in jobs)
         failed = False
         for line in results:  # in input order, each as soon as it is done
-            print(line, file=out)
+            print(line, file=out, flush=True)
             failed |= line.startswith(f"{ERROR_MARKER}\t")
     return EXIT_INTERNAL if failed else EXIT_OK
 

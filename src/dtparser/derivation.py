@@ -144,10 +144,12 @@ def initial_state(words, ctx):
                            complete=False)
 
 
-def _decision(state):
-    """The pending decision: (kind, node-or-word-index), or None."""
+def pending_decision(state):
+    """The pending decision: (kind, node or word index).  Raises
+    IllegalAction on a complete state, and DeadEnd on a live one with no
+    decision point left."""
     if state.complete:
-        return None
+        raise IllegalAction("derivation already complete")
     if state.stack:
         top = state.stack[-1]
         if top.children and top.label is None:
@@ -157,21 +159,17 @@ def _decision(state):
     nxt = len(state.tagged)
     if nxt < len(state.words):
         return KIND_TAG, nxt
-    return None
+    raise DeadEnd("no decision point left in an incomplete derivation")
 
 
-def legal_actions(state):
-    """The pending decision kind and its legal candidate values.
+def legal_actions(state, decision=None):
+    """The pending decision kind and its legal candidate values; pass
+    `decision`, `pending_decision(state)`, if it is already known.
 
     Raises DeadEnd when the state is live but no action is legal (or no
     decision point exists), which marks a prunable hypothesis.
     """
-    dec = _decision(state)
-    if dec is None:
-        if state.complete:
-            raise IllegalAction("derivation already complete")
-        raise DeadEnd("no decision point left in an incomplete derivation")
-    kind, target = dec
+    kind, target = decision or pending_decision(state)
     if kind == KIND_TAG:
         return kind, tuple(state.ctx.tags)
     if kind == KIND_LABEL:
@@ -269,10 +267,12 @@ def _untagged_slots(state, i):
 
 
 def _pending(state, kind):
-    """The pending decision, which `kind`, when given, must name."""
-    dec = _decision(state)
-    if dec is None:
-        raise IllegalAction("no pending decision to condition on")
+    """The pending decision, which `kind`, when given, must name; a state
+    with none raises IllegalAction."""
+    try:
+        dec = pending_decision(state)
+    except DeadEnd as exc:
+        raise IllegalAction(f"no pending decision: {exc}") from None
     if kind is not None and kind != dec[0]:
         raise IllegalAction(f"pending decision is {dec[0]}, not {kind}")
     return dec
@@ -331,13 +331,14 @@ def extract_history(state, kind=None):
 class HistoryView:
     """The history of `state`'s pending decision as a read-only sequence
     whose slot i is computed when it is read, and equals
-    `extract_history(state, kind)[i]`; `kind` is checked as there.  A
-    tree walk reads only the few slots its questions ask."""
+    `extract_history(state, kind)[i]`; `kind` is checked as there, unless
+    `decision`, `pending_decision(state)`, is given instead.  A tree walk
+    reads only the few slots its questions ask."""
 
     __slots__ = ("_readers", "words", "tagged", "stack", "kids", "right")
 
-    def __init__(self, state, kind=None):
-        kind, target = _pending(state, kind)
+    def __init__(self, state, kind=None, decision=None):
+        kind, target = decision or _pending(state, kind)
         self._readers = _SLOT_READERS[kind]
         self.words = state.words
         self.tagged = state.tagged

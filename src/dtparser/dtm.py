@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoEvents, SlotLayoutMismatch
+from .errors import DegenerateDistribution, NoEvents, SlotLayoutMismatch
 
 log = logging.getLogger(__name__)
 
@@ -380,16 +380,16 @@ def max_leaf_probability(tree, history, dists):
 class SmoothedModel:
     """A complete tree and its leaves' smoothed distributions; the predictor.
     `smoothed[i]` is leaf i's distribution over `schema.futures` and None
-    at an internal node, where no walk ends, alike in a trained model, in
-    the model file and in the model loaded from it.
+    at an internal node, where no walk ends.  It derives them from the node
+    counts and bucket lambdas alike for a trained tree and for one read
+    from a model file, which stores only those.
 
-    The model owns its rows and marks them read-only, so no caller of
-    `predict` can change what later predictions read.  `log_row(i)` is
-    row i as natural logs, the form search adds up; it is filled the
-    first time a decision reaches leaf i, not when the model is built,
-    since a parse reaches few of the leaves."""
+    The rows are read-only, so no caller of `predict` can change what
+    later predictions read.  `log_row(i)` is row i as natural logs, the
+    form search adds up; it is filled the first time a decision reaches
+    leaf i, since a parse reaches few of the leaves."""
 
-    def __init__(self, schema, tree, smoothed, bucket_lambdas, heldout_used,
+    def __init__(self, schema, tree, bucket_lambdas, heldout_used,
                  em_log=()):
         if not tree.complete:
             raise ValueError(f"the {schema.kind} tree is not complete")
@@ -397,12 +397,9 @@ class SmoothedModel:
         self.tree = tree
         self.root = tree.nodes[0]
         self.nodes = tree.nodes
-        self.smoothed = list(smoothed)
-        for dist in self.smoothed:
-            if dist is not None:
-                dist.setflags(write=False)
-        self._log_rows = [None] * len(self.smoothed)
         self.bucket_lambdas = dict(bucket_lambdas)
+        self.smoothed = interpolate(tree, self.bucket_lambdas)
+        self._log_rows = [None] * len(self.smoothed)
         self.heldout_used = heldout_used
         self.em_log = list(em_log)  # held-out log-likelihood per iteration
 
@@ -420,31 +417,37 @@ class SmoothedModel:
         return row
 
 
-def _bucket(node):
+def count_bucket(node):
     return node.total.bit_length() - 1 if node.total > 0 else 0
 
 
-def _fallback_lambdas(buckets):
-    return {b: (2.0 ** b) / (2.0 ** b + _FALLBACK_PIVOT) for b in buckets}
-
-
 def interpolate(tree, bucket_lambdas):
-    """The leaves' smoothed distributions, None at internal nodes.  In
-    preorder, each node interpolates its relative frequencies with its
-    parent's smoothed distribution (the uniform one at the root) by its
-    count bucket's lambda; every node's must be positive and sum to 1."""
+    """The leaves' smoothed distributions as read-only arrays, None at
+    internal nodes.  In preorder, float by float, each node interpolates
+    its relative frequencies with its parent's smoothed distribution (the
+    uniform one at the root) by its count bucket's lambda; a node whose
+    distribution is not positive and summing to 1 raises
+    DegenerateDistribution."""
     n_futures = len(tree.nodes[0].counts)
-    uniform = np.full(n_futures, 1.0 / n_futures)
+    uniform = [1.0 / n_futures] * n_futures
     smoothed = []
-    for node, parent in zip(tree.nodes, tree.parent):
-        lam = bucket_lambdas[_bucket(node)]
+    rows = [None] * len(tree.nodes)
+    for i, (node, parent) in enumerate(zip(tree.nodes, tree.parent)):
+        lam = bucket_lambdas[count_bucket(node)]
+        rest = 1.0 - lam
         above = smoothed[parent] if parent >= 0 else uniform
-        dist = lam * node.empirical() + (1.0 - lam) * above
-        assert abs(dist.sum() - 1.0) <= 1e-9, "smoothed mass must be 1"
-        assert dist.min() > 0.0, "smoothed distributions must be positive"
+        total = node.total or 1  # a node with no events counts only zeros
+        dist = [lam * (c / total) + rest * a
+                for c, a in zip(node.counts.tolist(), above)]
+        if not (abs(sum(dist) - 1.0) <= 1e-9 and min(dist) > 0.0):
+            raise DegenerateDistribution(
+                f"node {i} smooths to a distribution that is not positive "
+                f"and summing to 1")
         smoothed.append(dist)
-    return [dist if node.is_leaf else None
-            for node, dist in zip(tree.nodes, smoothed)]
+        if node.is_leaf:
+            rows[i] = np.array(dist)
+            rows[i].setflags(write=False)
+    return rows
 
 
 def smooth(tree, heldout_events, schema, config):
@@ -456,13 +459,12 @@ def smooth(tree, heldout_events, schema, config):
     The held-out log-likelihood is non-decreasing across iterations;
     this is asserted.
     """
-    buckets = sorted({_bucket(n) for n in tree.nodes})
+    buckets = sorted({count_bucket(n) for n in tree.nodes})
     if not heldout_events:
         log.warning("no held-out events for the %s model; using the fixed "
                     "lambda schedule", schema.kind)
-        lambdas = _fallback_lambdas(buckets)
-        return SmoothedModel(schema, tree, interpolate(tree, lambdas), lambdas,
-                             heldout_used=False)
+        lambdas = {b: 2.0 ** b / (2.0 ** b + _FALLBACK_PIVOT) for b in buckets}
+        return SmoothedModel(schema, tree, lambdas, heldout_used=False)
 
     # Group held-out events by (leaf, future); EM cost then scales with the
     # number of distinct groups, not events.
@@ -481,7 +483,7 @@ def smooth(tree, heldout_events, schema, config):
             path.insert(0, tree.parent[path[0]])
         paths[leaf_id] = (
             np.stack([tree.nodes[i].empirical() for i in path]),
-            np.array([bucket_pos[_bucket(tree.nodes[i])] for i in path]))
+            np.array([bucket_pos[count_bucket(tree.nodes[i])] for i in path]))
 
     lam = np.full(len(buckets), 0.5)
     uniform = 1.0 / len(schema.futures)
@@ -517,5 +519,5 @@ def smooth(tree, heldout_events, schema, config):
         if done:
             break
     bucket_lambdas = {b: float(lam[bucket_pos[b]]) for b in buckets}
-    return SmoothedModel(schema, tree, interpolate(tree, bucket_lambdas),
-                         bucket_lambdas, heldout_used=True, em_log=em_log)
+    return SmoothedModel(schema, tree, bucket_lambdas, heldout_used=True,
+                         em_log=em_log)

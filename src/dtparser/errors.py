@@ -85,6 +85,10 @@ class SlotLayoutMismatch(DTParserError):
     pass
 
 
+class DegenerateDistribution(DTParserError):
+    pass
+
+
 # --- search ---
 
 class EmptyInput(DTParserError):

@@ -4,9 +4,11 @@ A model file is a JSON envelope with a magic string, a format version
 and named sections (vocabularies, class trees, head rules, the three
 decision-tree models, configuration echo).  Every section carries a
 SHA-256 checksum of its canonical serialization, verified on load.
-Probabilities and interpolation weights are stored as C99 hex float
-literals, so loading reproduces every probability bit for bit; a version
-mismatch or checksum failure is a hard error.
+A decision-tree model stores its nodes' questions and counts and its
+bucket interpolation weights (C99 hex float literals); from them
+`dtm.SmoothedModel` derives the leaf distributions on load as in
+training, bit for bit.  A version mismatch or checksum failure is a hard
+error.
 """
 
 import hashlib
@@ -18,7 +20,7 @@ from . import derivation, dtm
 from .classtree import ClassTree
 from .config import Config
 from .corpus import UNK, Vocabularies
-from .errors import ModelFileError
+from .errors import DegenerateDistribution, ModelFileError
 from .headfinder import DIRECTIONS, HeadRule, HeadRuleTable
 from .models import SCHEMA_VERSION, ModelSet, make_schema
 
@@ -146,15 +148,12 @@ def _head_rules_from(data):
 
 def _model_data(model):
     nodes = []
-    for node, dist in zip(model.nodes, model.smoothed):
+    for node in model.nodes:
         q = node.question
-        entry = {
+        nodes.append({
             "q": [q.slot, q.kind, q.arg] if q else None,
             "counts": {str(i): int(c) for i, c in enumerate(node.counts) if c},
-        }
-        if node.is_leaf:
-            entry["p"] = [float(x).hex() for x in dist]
-        nodes.append(entry)
+        })
     return {
         "kind": model.schema.kind,
         "nodes": nodes,
@@ -192,7 +191,6 @@ def _model_from(data, schema):
     what = f"{schema.kind} model"
     futures = {str(i): i for i in range(len(schema.futures))}
     tree = dtm.FlatTree(schema)
-    smoothed = []  # stored leaf distributions in preorder; None elsewhere
     for pos, entry in enumerate(_field(data, "nodes", list, what)):
         if tree.complete:
             raise ModelFileError(f"{what} has trailing nodes")
@@ -202,15 +200,16 @@ def _model_from(data, schema):
                                  f"'q' and 'counts' fields")
         counts = np.zeros(len(futures), dtype=np.int64)
         for i, c in entry["counts"].items():
-            if not _is_int(c) or c < 0 or i not in futures:
+            if not _is_int(c) or not 0 <= c < 1 << 63 or i not in futures:
                 raise ModelFileError(
                     f"{what} has count {c!r} for future {i!r}; expected a "
-                    f"count >= 0 for a future below {len(futures)}")
+                    f"count in [0, 2**63) for a future below {len(futures)}")
             counts[futures[i]] = c
+        total = sum(entry["counts"].values())
+        if not total:
+            raise ModelFileError(f"{what} node {pos} has no events")
         q = None if entry["q"] is None else _question_from(entry["q"], schema)
-        smoothed.append(None if q else _distribution_from(
-            entry.get("p"), len(futures), what))
-        tree.add(dtm.DTNode(counts, q, total=sum(entry["counts"].values())))
+        tree.add(dtm.DTNode(counts, q, total=total))
     if not tree.complete:
         raise ModelFileError(f"{what} ends inside its tree")
     try:
@@ -218,26 +217,16 @@ def _model_from(data, schema):
                           in _field(data, "lambdas", dict, what).items()}
     except (TypeError, ValueError) as exc:
         raise ModelFileError(f"{what} has a malformed lambda: {exc}") from exc
-    return dtm.SmoothedModel(schema, tree, smoothed, bucket_lambdas,
-                             heldout_used=_field(data, "heldout_used", bool,
-                                                 what))
-
-
-def _distribution_from(hexes, n_futures, what):
-    """A leaf's stored distribution, exactly as saved: one positive
-    probability per future, summing to 1 as training asserts."""
+    for pos, node in enumerate(tree.nodes):  # what smoothing each node needs
+        lam = bucket_lambdas.get(dtm.count_bucket(node))
+        if lam is None or not 0.0 <= lam < 1.0:  # a nan fails too
+            raise ModelFileError(f"{what} node {pos}'s count bucket has "
+                                 f"lambda {lam!r}, not one in [0, 1)")
+    heldout_used = _field(data, "heldout_used", bool, what)
     try:
-        ps = [float.fromhex(x) for x in hexes] if isinstance(hexes, list) \
-            else []
-    except (TypeError, ValueError):
-        ps = []
-    # A nan or an infinity fails the sum test.
-    if not ps or len(ps) != n_futures or not min(ps) > 0.0 \
-            or not abs(sum(ps) - 1.0) <= 1e-9:
-        raise ModelFileError(
-            f"{what} has a leaf distribution that is not {n_futures} hex "
-            f"floats, each positive, summing to 1: {hexes!r}")
-    return np.array(ps)
+        return dtm.SmoothedModel(schema, tree, bucket_lambdas, heldout_used)
+    except DegenerateDistribution as exc:
+        raise ModelFileError(f"{what}: {exc}") from exc
 
 
 def save_model_set(model_set, config, path):

@@ -29,7 +29,7 @@ from .headfinder import default_head_rules
 
 log = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_U_MAX = 4
 
 
@@ -181,9 +181,11 @@ def action_scores(model_set, state):
     The model's tree walk reads the history through a
     `derivation.HistoryView`, which computes only the slots it asks.
     """
-    kind, candidates = derivation.legal_actions(state)  # may raise DeadEnd
+    decision = derivation.pending_decision(state)  # both may raise DeadEnd
+    kind, candidates = derivation.legal_actions(state, decision)
     model = model_set.models[kind]
-    leaf = dtm.walk(model.tree, derivation.HistoryView(state, kind))
+    leaf = dtm.walk(model.tree,
+                    derivation.HistoryView(state, decision=decision))
     index = model.schema.future_index
     if model_set.renormalize:
         probs = model.smoothed[leaf]

@@ -3,9 +3,16 @@
 import io
 import json
 import multiprocessing
+import os
 import re
+import select
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import toylang
 from dtparser import cli, corpus, modelfile, search
@@ -173,6 +180,36 @@ def test_parse_reads_stdin(model_path, monkeypatch, capsys):
     assert out.count("\n") == 1 and "\toptimal" in out
 
 
+@given(st.text(alphabet="ab \n\r\x0b\x0c\x1c\x85\u2028"))
+def test_parse_reads_the_lines_str_splitlines_finds(text):
+    assert list(cli._sentences(io.StringIO(text))) == \
+        [line.split() for line in text.splitlines()]
+
+
+def test_parse_answers_each_line_before_the_next_is_written(model_path):
+    """`parse` reads its input as it goes and flushes each output line, so
+    a pipe consumer has line 1's parse before it writes line 2."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen(
+            [sys.executable, "-m", "dtparser.cli", "parse", model_path],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=env) as proc:
+        try:
+            proc.stdin.write("the dog runs\n")
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 60)
+            assert ready, "no output for line 1 while line 2 was unwritten"
+            assert proc.stdout.readline().endswith("\toptimal\n")
+            proc.stdin.write("rex runs\n")
+            proc.stdin.close()
+            assert proc.stdout.readline().endswith("\toptimal\n")
+            assert proc.wait(timeout=60) == cli.EXIT_OK
+        finally:
+            proc.kill()
+
+
 def test_parse_writes_output_files(model_path, tmp_path, capsys):
     (tmp_path / "in.txt").write_text("the dog runs\n")
     out = tmp_path / "out.txt"
@@ -269,9 +306,11 @@ def test_one_failed_sentence_does_not_sink_the_batch(model_path, tmp_path,
 def test_parse_rejects_a_corrupt_model(tmp_path, capsys):
     bad = tmp_path / "bad.model"
     bad.write_text("{}")
-    (tmp_path / "in.txt").write_text("a\n")
-    assert cli.main(["parse", str(bad), str(tmp_path / "in.txt")]) == cli.EXIT_DATA
-    assert "dtparser parse: error:" in capsys.readouterr().err
+    (tmp_path / "in.txt").write_text("a\nb\n")
+    for workers in ("1", "2"):  # refused before any worker starts
+        assert cli.main(["parse", str(bad), str(tmp_path / "in.txt"),
+                         "--workers", workers]) == cli.EXIT_DATA
+        assert "dtparser parse: error:" in capsys.readouterr().err
 
 
 def test_parse_missing_input_file(model_path, capsys):

@@ -325,8 +325,7 @@ def test_walk_rejects_a_missing_branch():
     tree.add(DTNode(np.array([1, 0])))  # the no branch is never added
     assert not tree.complete
     with pytest.raises(ValueError, match="not complete"):
-        SmoothedModel(schema, tree, [None, np.array([0.5, 0.5])],
-                      {0: 0.5, 1: 0.5}, heldout_used=False)
+        SmoothedModel(schema, tree, {0: 0.5, 1: 0.5}, heldout_used=False)
     tree.add(DTNode(np.array([0, 1])))
     assert tree.complete
     with pytest.raises(ValueError, match="complete"):

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toylang
 from dtparser import cli, derivation, modelfile, models
@@ -117,7 +119,7 @@ def test_saving_twice_is_deterministic(toy_model_set, saved, tmp_path):
 # SHA-256 of the conftest toy model file, as saved with Python 3.11.7 and
 # numpy 2.4.6.  A change that alters any byte of a saved model changes it.
 TOY_MODEL_SHA256 = \
-    "65fbabdd6270696f10810cc4984c2f934607053c091d85143f9ef1d1e4d07af6"
+    "c9d6ab2bd2a6dc9751b54b7be20e827211a0dde719a7bfb539fa94e3fb9e5c94"
 
 
 def test_toy_model_file_bytes_are_pinned(saved):
@@ -127,7 +129,7 @@ def test_toy_model_file_bytes_are_pinned(saved):
 # SHA-256 of a model of 150 arbitrary random trees, whose unary chains
 # train every extension; saved as the toy model pin above was.
 RANDOM_MODEL_SHA256 = \
-    "9de0fffff7ba693496d3318292b7fb65f4c2152c5f7b0c1f666bb211c48c673a"
+    "ebc669d9f1d66ec20b20b84391221105ade7d1dd09b6379bec561ad0f9bc981a"
 RANDOM_CONFIG = Config(unk_threshold=1, min_events=4, cluster_window=64)
 
 
@@ -181,18 +183,26 @@ def test_unsupported_version_is_rejected(saved, tmp_path):
         modelfile.load_model_set(path)
 
 
-def test_other_schema_version_is_rejected(saved, tmp_path, capsys):
-    def mutate(envelope):
-        section = envelope["sections"]["settings"]
-        section["data"]["schema_version"] = 2
-        section["sha256"] = modelfile._checksum(section["data"])
-    path = _rewrite(saved, tmp_path, mutate)
-    with pytest.raises(ModelFileError, match="schema version 2"):
+def test_other_schema_version_is_rejected(toy_model_set, saved, tmp_path,
+                                          capsys):
+    """A version-1 file, which stored each leaf's distribution as `p`
+    beside the counts and lambdas it derives from, is refused."""
+    def version_1(envelope):
+        for kind, data in envelope["sections"]["models"]["data"].items():
+            smoothed = toy_model_set.models[kind].smoothed
+            for entry, dist in zip(data["nodes"], smoothed):
+                if dist is not None:
+                    entry["p"] = [float(x).hex() for x in dist]
+        envelope["sections"]["settings"]["data"]["schema_version"] = 1
+        for wrapped in envelope["sections"].values():
+            wrapped["sha256"] = modelfile._checksum(wrapped["data"])
+    path = _rewrite(saved, tmp_path, version_1)
+    with pytest.raises(ModelFileError, match="schema version 1"):
         modelfile.load_model_set(path)
     (tmp_path / "in.txt").write_text("the dog runs\n")
     assert cli.main(["parse", str(path), str(tmp_path / "in.txt")]) == \
         cli.EXIT_DATA
-    assert "schema version 2" in capsys.readouterr().err
+    assert "schema version 1" in capsys.readouterr().err
 
 
 def test_bad_magic_is_rejected(saved, tmp_path):
@@ -412,43 +422,51 @@ def _cut_after_first_question(data, kind="tag"):
     del nodes[first + 1:]
 
 
-def _move_mass(data, first):
-    """Set a leaf's first probability to `first`, moving the difference
-    to its second so that the sum stays 1."""
-    p = _leaf(data)["p"]
-    old, second = float.fromhex(p[0]), float.fromhex(p[1])
-    p[0], p[1] = first.hex(), (second + old - first).hex()
+def _first_lambda(data, value):
+    lambdas = data["tag"]["lambdas"]
+    lambdas[next(iter(lambdas))] = value
+
+
+def _underflowing_chain(data, depth=200):
+    """Make the tag model's tree a chain `depth` questions deep whose every
+    node saw one event, of future 1, under lambda 0.9999: each node keeps
+    1e-4 of its parent's probability of future 0, which underflows to 0."""
+    node = {"q": [0, "isnull", 0], "counts": {"1": 1}}
+    leaf = {"q": None, "counts": {"1": 1}}
+    data["tag"]["nodes"] = [node, leaf] * depth + [leaf]
+    data["tag"]["lambdas"] = {"0": 0.9999.hex()}
 
 
 @pytest.mark.parametrize("mutate, message", [
     (_cut_after_first_question, "ends inside its tree"),
-    (lambda d: _leaf(d)["counts"].update({str(len(_leaf(d)["p"])): 1}),
+    # the tag model's futures are the toy grammar's tags
+    (lambda d: _leaf(d)["counts"].update({str(len(toylang.TAGS)): 1}),
      "future"),
     (lambda d: _leaf(d)["counts"].update({"0": -1}), "count -1"),
     (lambda d: _leaf(d)["counts"].update({"0": 1.0}), "count 1.0"),
-    (lambda d: _leaf(d)["p"].pop(), "leaf distribution"),
-    (lambda d: _leaf(d)["p"].append((0.0).hex()), "leaf distribution"),
-    (lambda d: _move_mass(d, 0.0), "leaf distribution"),
-    (lambda d: _move_mass(d, -1e-3), "leaf distribution"),
-    (lambda d: _leaf(d)["p"].__setitem__(0, "inf"), "leaf distribution"),
-    (lambda d: _leaf(d)["p"].__setitem__(0, "nan"), "leaf distribution"),
-    (lambda d: _leaf(d)["p"].__setitem__(
-        0, (float.fromhex(_leaf(d)["p"][0]) + 1e-6).hex()),
-     "leaf distribution"),
-    (lambda d: _leaf(d)["p"].__setitem__(0, "zz"), "leaf distribution"),
-    (lambda d: _leaf(d)["p"].__setitem__(0, 0.5), "leaf distribution"),
-    (lambda d: _leaf(d).pop("p"), "leaf distribution"),
+    (lambda d: _leaf(d)["counts"].update({"0": 1 << 63}), "count 9"),
+    (lambda d: _leaf(d)["counts"].clear(), "no events"),
     (lambda d: d["tag"]["lambdas"].update(x="0x1p-1"), "malformed lambda"),
+    (lambda d: d["tag"]["lambdas"].popitem(), "lambda None"),
+    (lambda d: _first_lambda(d, (1.0).hex()), r"lambda 1\.0, not"),
+    (lambda d: _first_lambda(d, (-0.1).hex()), r"lambda -0\.1, not"),
+    (lambda d: _first_lambda(d, "nan"), "lambda nan, not"),
+    (_underflowing_chain, "node 1[0-9][0-9] smooths to a distribution"),
     (lambda d: d.pop("label"), "'label'"),
 ], ids=["cut-after-internal-node", "count-of-no-future", "negative-count",
-        "float-count", "short-leaf", "long-leaf", "zero-probability",
-        "negative-probability", "infinite-probability", "nan-probability",
-        "sum-over-one", "non-hex-probability", "float-probability",
-        "leaf-without-p", "bad-lambda-bucket", "missing-label-model"])
-def test_broken_tree_section_is_rejected(saved, tmp_path, mutate, message):
+        "float-count", "count-beyond-int64", "node-without-events",
+        "bad-lambda-bucket", "bucket-without-lambda", "lambda-one",
+        "negative-lambda", "nan-lambda", "underflowing-chain",
+        "missing-label-model"])
+def test_broken_tree_section_is_rejected(saved, tmp_path, capsys, mutate,
+                                         message):
     path = _resealed(saved, tmp_path, "models", mutate)
     with pytest.raises(ModelFileError, match=message):
         modelfile.load_model_set(path)
+    (tmp_path / "in.txt").write_text("rex runs\n")
+    assert cli.main(["parse", str(path), str(tmp_path / "in.txt")]) == \
+        cli.EXIT_DATA
+    assert "dtparser parse: error:" in capsys.readouterr().err
 
 
 def _deep_tag_tree(data, depth=3000):
@@ -493,3 +511,54 @@ def test_relabelled_bit_questions_exit_with_a_data_error(saved, tmp_path,
     assert cli.main(["parse", str(path), str(tmp_path / "in.txt")]) == \
         cli.EXIT_DATA
     assert "zzz" in capsys.readouterr().err
+
+
+# Values a mutated model field may take: well-formed ones and junk.
+_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 1 << 64),
+                    st.floats(), st.floats().map(float.hex),
+                    st.text(max_size=3))
+_QUESTIONS = st.one_of(
+    st.none(), _VALUES,
+    st.lists(st.one_of(st.integers(-1, 60),
+                       st.sampled_from(["isnull", "bit", "le", "zzz"]),
+                       _VALUES), max_size=4),
+    st.tuples(st.integers(-1, 60),
+              st.sampled_from(["isnull", "bit", "le"]),
+              st.integers(-1, 40)).map(list))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_mutated_models_section_loads_or_exits_with_a_data_error(
+        saved, tmp_path_factory, data):
+    """Drop or alter one count, lambda, question or node of a model and
+    reseal the section: `parse` then either works or exits 2, never 3."""
+    envelope = json.loads(saved.read_text())
+    section = envelope["sections"]["models"]
+    model = section["data"][data.draw(st.sampled_from(derivation.KINDS))]
+    nodes = model["nodes"]
+    at = data.draw(st.integers(0, len(nodes) - 1))
+    drop = data.draw(st.booleans())
+    part = data.draw(st.sampled_from(["count", "lambda", "question", "node"]))
+    if part in ("count", "lambda"):
+        table = nodes[at]["counts"] if part == "count" else model["lambdas"]
+        key = data.draw(st.sampled_from(sorted(table)))
+        if drop:
+            del table[key]
+        else:
+            table[key] = data.draw(_VALUES)
+    elif part == "question":
+        nodes[at]["q"] = data.draw(_QUESTIONS)
+    elif drop:
+        del nodes[at]
+    else:
+        nodes.insert(at, dict(nodes[data.draw(st.integers(0, len(nodes) - 1))]))
+    section["sha256"] = modelfile._checksum(section["data"])
+    root = tmp_path_factory.mktemp("mutated")
+    (root / "in.txt").write_text("the dog sees rex\nrex runs\n")
+    (root / "mutated.model").write_text(json.dumps(envelope))
+    code = cli.main(["parse", str(root / "mutated.model"),
+                     str(root / "in.txt"), "-o", str(root / "out.txt")])
+    assert code in (cli.EXIT_OK, cli.EXIT_DATA)
+    if code == cli.EXIT_OK:
+        assert len((root / "out.txt").read_text().splitlines()) == 2
