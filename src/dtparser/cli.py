@@ -10,9 +10,9 @@ Commands::
 
 Shared flags: ``--format`` (treebank format), ``--seed``, ``--config``
 (key=value file; command-line flags win).  Exit codes: 0 success, 1 usage,
-2 data error (bad input files, malformed trees, model mismatches), 3
-internal error, which for ``parse`` includes any sentence printed as an
-ERROR line.
+2 data error (bad input files, input that is not UTF-8, malformed trees,
+model mismatches), 3 internal error, which for ``parse`` includes any
+sentence printed as an ERROR line.
 """
 
 import argparse
@@ -236,15 +236,20 @@ def _parse_line(model_set, words, config):
 
 
 def _sentences(fh):
-    """The words of each line of `fh.read().splitlines()`, read lazily."""
-    return (line.split() for chunk in fh for line in chunk.splitlines())
+    """The words of each line of `fh.read().splitlines()`, read lazily.  A
+    binary `fh` is decoded as UTF-8 a line at a time, so the lines before
+    one that is not UTF-8 are parsed before it raises."""
+    for chunk in fh:
+        text = chunk.decode("utf-8") if isinstance(chunk, bytes) else chunk
+        yield from (line.split() for line in text.splitlines())
 
 
 def cmd_parse(args, out):
     config = _load_settings(args)
     with ExitStack() as stack:
-        fh = (stack.enter_context(open(args.input, encoding="utf-8"))
-              if args.input and args.input != "-" else sys.stdin)
+        fh = (stack.enter_context(open(args.input, "rb"))
+              if args.input and args.input != "-"
+              else getattr(sys.stdin, "buffer", sys.stdin))
         jobs = _sentences(fh)
         # Loaded here even for the workers, so a bad file exits 2 at once.
         model_set = load_model_set(args.model)
@@ -346,7 +351,7 @@ def main(argv=None):
             with open(out_path, "w", encoding="utf-8") as fh:
                 return commands[args.command](args, fh)
         return commands[args.command](args, sys.stdout)
-    except (DTParserError, OSError) as exc:
+    except (DTParserError, OSError, UnicodeDecodeError) as exc:
         print(f"dtparser {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception:  # pragma: no cover - defensive

@@ -41,7 +41,6 @@ class Config:
     u_max: int = 0  # 0 means: use the longest chain observed in training
     max_hypotheses: int = 2_000_000
     max_length: int = 40
-    renormalize: bool = False
 
     # scoring
     include_root: bool = True

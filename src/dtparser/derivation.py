@@ -31,33 +31,32 @@ among its siblings fixes.  `encode` replays that postorder through
 History slot layout
 -------------------
 
-All three decision kinds share one layout: for each queried node, in the
-order current, first/second active node to the left, first/second active
-node to the right, first/second child of the current node from the left,
-first/second child from the right, the six values
+A decision's history is one row per queried node (the current node, the
+first and second active node to its left and word to its right, the first
+two and last two children of the current node) of the six features
 
     word, tag, label, extension, child count, span width
 
-giving 54 slots.  Tag decisions append four more: the surface word and
-assigned tag at sentence positions i-1 and i-2 (58 slots).  Unset and
-out-of-range values are None.  Untagged words right of the decision point
-expose only their surface word; their tag/label/extension read None.
-Word nodes reached by the derivation carry the reserved pseudo-label
-``TAG_LABEL`` in label slots.
+giving 54 slots; a tag decision adds the word and tag of the two words
+before the one it tags (58 slots).  A missing node or value is None.  A
+word node shows the pseudo-label ``TAG_LABEL``.  The word being tagged,
+and the words right of the decision, which no node covers yet, show their
+surface form and a word's shape, and the first also ``TAG_LABEL``; a
+constituent whose label is pending shows only its child count and width.
 
-The layout is read two ways.  `extract_history` builds every slot of a
-decision's history as one tuple: the bulk path, which `encode` uses to
-turn treebank trees into training events, and the oracle for the other
-way.  `HistoryView` is a read-only view of the same slots that computes one
-slot when it is indexed, through per-kind slot readers built once from
-`slot_layout`; search scores a decision through it, since a model's
-tree walk reads only the few slots its questions ask.
+One table, `_LAYOUT`, says for each decision kind where each queried node
+is found and which of those cases it is, and every reader of the layout
+is generated from it: `slot_layout`'s names, `extract_history`'s rows,
+with which `encode` turns treebank trees into training events,
+`HistoryView`'s reader per slot, through which search's tree walks read
+only the slots they ask, and `word_histories`, which bounds the search.
 
 Nodes and states are immutable named tuples, so successor states share
 every node they do not change.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -72,22 +71,6 @@ KIND_EXTENSION = "extension"
 KINDS = (KIND_TAG, KIND_LABEL, KIND_EXTENSION)
 
 TAG_LABEL = "<tag>"  # reserved pseudo-label of word-level nodes
-
-_QUERIED_NODES = ("cur", "l1", "l2", "r1", "r2", "cl1", "cl2", "cr1", "cr2")
-_FEATURES = (("word", "word"), ("tag", "tag"), ("label", "label"),
-             ("ext", "extension"), ("nch", "count"), ("width", "width"))
-_TAG_EXTRAS = (("w-1.word", "word"), ("w-1.tag", "tag"),
-               ("w-2.word", "word"), ("w-2.tag", "tag"))
-
-
-def slot_layout(kind):
-    """The (name, value kind) pairs of every history slot, in order."""
-    slots = [(f"{node}.{feat}", vkind)
-             for node in _QUERIED_NODES
-             for feat, vkind in _FEATURES]
-    if kind == KIND_TAG:
-        slots.extend(_TAG_EXTRAS)
-    return tuple(slots)
 
 
 class Node(NamedTuple):
@@ -250,20 +233,124 @@ def apply_action(state, action, validate=True):
 
 # --- history extraction ---
 
-_NULL_SLOTS = (None, None, None, None, None, None)
+# A decision's history is read from its frame: the words, the tags
+# assigned so far, the active stack, the current node's children (none
+# when a word is being tagged) and the first word right of the decision.
+_WORDS, _TAGGED, _STACK, _KIDS, _RIGHT = range(5)
 
 
-def _node_slots(node):
-    label = node.label if not node.is_leaf else TAG_LABEL
-    return (node.word, node.tag, label, node.extension,
-            len(node.children), node.width)
+def _frame(state, kind, target):
+    kids, right = (((), target + 1) if kind == KIND_TAG
+                   else (target.children, target.end + 1))
+    return state.words, state.tagged, state.stack, kids, right
 
 
-def _untagged_slots(state, i):
-    # Word not yet reached by the derivation: only its surface form is known.
-    if 0 <= i < len(state.words):
-        return (state.words[i], None, None, None, 0, 1)
-    return _NULL_SLOTS
+# The features of a queried node, in slot order, and their value kinds.
+# How a node shows them is its case: a function of where the node is found
+# that returns frame readers, one of the node's whole row, for the bulk
+# history, and one per feature it shows (the first n), for the lazy view.
+_FEATURES = {"word": "word", "tag": "tag", "label": "label",
+             "ext": "extension", "nch": "count", "width": "width"}
+_NONE = (None,) * len(_FEATURES)
+
+# A built node's features one at a time, as `_built`'s row reads them.
+_BUILT_FEATURES = (attrgetter("word"), attrgetter("tag"),
+                   lambda node: node.label if node.children else TAG_LABEL,
+                   attrgetter("extension"), lambda node: len(node.children),
+                   lambda node: node.end - node.start + 1)
+
+
+def _built(where):
+    """A built node, node k of the frame's stack or kids, if it is there."""
+    seq, k = where
+    need = k + 1 if k >= 0 else -k
+
+    def row(frame):
+        nodes = frame[seq]
+        if len(nodes) < need:
+            return _NONE
+        node = nodes[k]
+        return (node.word, node.tag,
+                node.label if node.children else TAG_LABEL, node.extension,
+                len(node.children), node.end - node.start + 1)
+
+    def slot(read):
+        def reader(frame):
+            nodes = frame[seq]
+            return read(nodes[k]) if len(nodes) >= need else None
+        return reader
+    return row, tuple(map(slot, _BUILT_FEATURES))
+
+
+def _labelling(where):
+    """A built node whose label, which picks its head, is pending: it
+    shows only its child count and width."""
+    row, slots = _built(where)
+    return ((lambda frame: (None,) * 4 + row(frame)[4:]),
+            (lambda frame: None,) * 4 + slots[4:])
+
+
+def _word(rest, d):
+    """A word seen by its position, `d` places right of the frame's first
+    word right of the decision, rather than through a node: it shows its
+    surface form, its tag once it has one, and `rest`, the values of its
+    features after those two; None outside the sentence."""
+    absent = (None,) * (2 + len(rest))
+
+    def row(frame):
+        words, tagged, _, _, right = frame
+        j = right + d
+        if 0 <= j < len(words):
+            return (words[j], tagged[j] if j < len(tagged) else None) + rest
+        return absent
+
+    def slot(seq):
+        def reader(frame):
+            values = frame[seq]
+            j = frame[_RIGHT] + d
+            return values[j] if 0 <= j < len(values) else None
+        return reader
+
+    def shown(value):
+        return lambda frame: (value if 0 <= frame[_RIGHT] + d
+                              < len(frame[_WORDS]) else None)
+    return row, (slot(_WORDS), slot(_TAGGED)) + tuple(map(shown, rest))
+
+
+_UNTAGGED = partial(_word, (None, None, 0, 1))  # not reached yet
+_TAGGING = partial(_word, (TAG_LABEL, None, 0, 1))  # being tagged
+_BEHIND = partial(_word, ())  # tagged, left of the word being tagged
+
+# The history layout: for each decision kind, each queried node in slot
+# order, its case, and where that case finds it in the frame.
+_LEFT = (("l1", _built, (_STACK, -2)), ("l2", _built, (_STACK, -3)))
+_AROUND = (("r1", _UNTAGGED, 0), ("r2", _UNTAGGED, 1),
+           ("cl1", _built, (_KIDS, 0)), ("cl2", _built, (_KIDS, 1)),
+           ("cr1", _built, (_KIDS, -1)), ("cr2", _built, (_KIDS, -2)))
+_LAYOUT = {
+    KIND_TAG: (("cur", _TAGGING, -1),
+               ("l1", _built, (_STACK, -1)), ("l2", _built, (_STACK, -2)),
+               *_AROUND, ("w-1", _BEHIND, -2), ("w-2", _BEHIND, -3)),
+    KIND_LABEL: (("cur", _labelling, (_STACK, -1)), *_LEFT, *_AROUND),
+    KIND_EXTENSION: (("cur", _built, (_STACK, -1)), *_LEFT, *_AROUND),
+}
+
+# Per kind: each queried node's name, row reader and slot readers; the
+# row readers; the slot readers; and the slots' names and value kinds.
+_READERS = {kind: tuple((node, *case(where)) for node, case, where in layout)
+            for kind, layout in _LAYOUT.items()}
+_ROWS = {kind: tuple(row for _, row, _ in readers)
+         for kind, readers in _READERS.items()}
+_SLOTS = {kind: tuple(read for _, _, slots in readers for read in slots)
+          for kind, readers in _READERS.items()}
+_NAMES = {kind: tuple((f"{node}.{feat}", vkind) for node, _, slots in readers
+                      for (feat, vkind), _ in zip(_FEATURES.items(), slots))
+          for kind, readers in _READERS.items()}
+
+
+def slot_layout(kind):
+    """The (name, value kind) pairs of every history slot, in order."""
+    return _NAMES[kind]
 
 
 def _pending(state, kind):
@@ -279,179 +366,51 @@ def _pending(state, kind):
 
 
 def extract_history(state, kind=None):
-    """The conditioning history for the pending decision, as a slot tuple.
-
-    See the module docstring for the layout.  `kind` is only checked
-    against the actual pending decision when given.
-    """
-    actual_kind, target = _pending(state, kind)
-    stack = state.stack
-    if actual_kind == KIND_TAG:
-        i = target
-        cur = (state.words[i], None, TAG_LABEL, None, 0, 1)
-        lefts = [stack[-1] if len(stack) >= 1 else None,
-                 stack[-2] if len(stack) >= 2 else None]
-        right_at = i + 1
-        children = (None, None, None, None)
-    else:
-        node = target
-        if actual_kind == KIND_LABEL:
-            # Head word and tag are unknown until the label picks the head.
-            cur = (None, None, None, None, len(node.children), node.width)
-        else:
-            cur = _node_slots(node)
-        lefts = [stack[-2] if len(stack) >= 2 else None,
-                 stack[-3] if len(stack) >= 3 else None]
-        right_at = node.end + 1
-        kids = node.children
-        children = (kids[0] if len(kids) >= 1 else None,
-                    kids[1] if len(kids) >= 2 else None,
-                    kids[-1] if len(kids) >= 1 else None,
-                    kids[-2] if len(kids) >= 2 else None)
-
-    slots = list(cur)
-    for nb in lefts:
-        slots.extend(_node_slots(nb) if nb is not None else _NULL_SLOTS)
-    slots.extend(_untagged_slots(state, right_at))
-    slots.extend(_untagged_slots(state, right_at + 1))
-    for kid in children:
-        slots.extend(_node_slots(kid) if kid is not None else _NULL_SLOTS)
-
-    if actual_kind == KIND_TAG:
-        i = target
-        for back in (1, 2):
-            if i - back >= 0:
-                slots.append(state.words[i - back])
-                slots.append(state.tagged[i - back])
-            else:
-                slots.extend((None, None))
+    """The history of the pending decision as a tuple, read a queried node
+    at a time; `kind` is checked against the pending decision when given."""
+    kind, target = _pending(state, kind)
+    frame = _frame(state, kind, target)
+    slots = []
+    for row in _ROWS[kind]:
+        slots += row(frame)
     return tuple(slots)
 
 
 class HistoryView:
     """The history of `state`'s pending decision as a read-only sequence
-    whose slot i is computed when it is read, and equals
+    whose slot i is read when it is indexed, and equals
     `extract_history(state, kind)[i]`; `kind` is checked as there, unless
-    `decision`, `pending_decision(state)`, is given instead.  A tree walk
-    reads only the few slots its questions ask."""
+    `decision`, `pending_decision(state)`, is given instead."""
 
-    __slots__ = ("_readers", "words", "tagged", "stack", "kids", "right")
+    __slots__ = ("_readers", "_frame")
 
     def __init__(self, state, kind=None, decision=None):
         kind, target = decision or _pending(state, kind)
-        self._readers = _SLOT_READERS[kind]
-        self.words = state.words
-        self.tagged = state.tagged
-        self.stack = state.stack
-        if kind == KIND_TAG:
-            self.kids = ()
-            self.right = target + 1
-        else:
-            self.kids = target.children
-            self.right = target.end + 1  # the first word right of the node
+        self._readers = _SLOTS[kind]
+        self._frame = _frame(state, kind, target)
 
     def __len__(self):
         return len(self._readers)
 
     def __getitem__(self, slot):
-        return self._readers[slot](self)
-
-
-# Reader of one feature of a built node, by feature name (see _node_slots).
-_NODE_FEATURES = {
-    "word": attrgetter("word"),
-    "tag": attrgetter("tag"),
-    "label": lambda node: node.label if node.children else TAG_LABEL,
-    "ext": attrgetter("extension"),
-    "nch": lambda node: len(node.children),
-    "width": lambda node: node.end - node.start + 1,
-}
-
-
-def _constant(value):
-    return lambda view: value
-
-
-def _built(where, k, feat):
-    """Slot reader: feature `feat` of node `k` of a view's `stack` or
-    `kids` (`where`), None when there is no such node."""
-    nodes_of = attrgetter(where)
-    read = _NODE_FEATURES[feat]
-    need = k + 1 if k >= 0 else -k
-
-    def reader(view):
-        nodes = nodes_of(view)
-        return read(nodes[k]) if len(nodes) >= need else None
-    return reader
-
-
-def _untagged(d, feat):
-    """Slot reader: feature `feat` of the word `d` places past the first
-    word right of the decision, which only its surface form shows (see
-    _untagged_slots); None past the sentence."""
-    if feat == "word":
-        def reader(view):
-            j = view.right + d
-            return view.words[j] if j < len(view.words) else None
-        return reader
-    value = {"nch": 0, "width": 1}.get(feat)
-    return lambda view: value if view.right + d < len(view.words) else None
-
-
-def _behind(b, feat):
-    """Slot reader: the word or tag (`feat`) `b` places left of the word
-    being tagged, None before the sentence."""
-    seq = attrgetter("words" if feat == "word" else "tagged")
-
-    def reader(view):
-        j = view.right - 1 - b
-        return seq(view)[j] if j >= 0 else None
-    return reader
-
-
-def _slot_readers(kind):
-    """One reader per slot of `slot_layout(kind)`, in order."""
-    left = 1 if kind == KIND_TAG else 2  # nearest built node left: stack[-left]
-    readers = {
-        "l1": lambda feat: _built("stack", -left, feat),
-        "l2": lambda feat: _built("stack", -left - 1, feat),
-        "r1": lambda feat: _untagged(0, feat),
-        "r2": lambda feat: _untagged(1, feat),
-        "cl1": lambda feat: _built("kids", 0, feat),
-        "cl2": lambda feat: _built("kids", 1, feat),
-        "cr1": lambda feat: _built("kids", -1, feat),
-        "cr2": lambda feat: _built("kids", -2, feat),
-        "w-1": lambda feat: _behind(1, feat),
-        "w-2": lambda feat: _behind(2, feat),
-    }
-    if kind == KIND_TAG:  # the word being tagged
-        cur = {"tag": None, "label": TAG_LABEL, "ext": None, "nch": 0,
-               "width": 1}
-        readers["cur"] = lambda feat: (_behind(0, feat) if feat == "word"
-                                       else _constant(cur[feat]))
-    elif kind == KIND_LABEL:  # head word and tag wait for the label
-        readers["cur"] = lambda feat: (_built("stack", -1, feat)
-                                       if feat in ("nch", "width")
-                                       else _constant(None))
-    else:
-        readers["cur"] = lambda feat: _built("stack", -1, feat)
-    return tuple(readers[node](feat) for node, feat in
-                 (name.split(".") for name, _ in slot_layout(kind)))
-
-
-_SLOT_READERS = {kind: _slot_readers(kind) for kind in KINDS}
+        return self._readers[slot](self._frame)
 
 
 def word_histories(word, unknown):
     """The histories of `word`'s tag decision and of its word node's own
     extension decision, with `unknown` in every slot but the current
-    node's: wherever the word stands, `extract_history` fixes that node
-    as the word node, all but its tag at the extension decision."""
-    around = (unknown,) * ((len(_QUERIED_NODES) - 1) * len(_FEATURES))
-    tag = ((word, None, TAG_LABEL, None, 0, 1) + around
-           + (unknown,) * len(_TAG_EXTRAS))
-    extension = (word, unknown, TAG_LABEL, None, 0, 1) + around
-    return tag, extension
+    node's, and in its tag at the extension decision.  Wherever the word
+    stands, the layout reads that node alike, so it is read here in a
+    one-word sentence."""
+    tagging = initial_state((word,), None)
+    extending = apply_action(tagging, (KIND_TAG, unknown), validate=False)
+    histories = []
+    for state in (tagging, extending):
+        kind, target = pending_decision(state)
+        (_, cur, shown), *_ = _READERS[kind]  # the layout's first node
+        histories.append(cur(_frame(state, kind, target))
+                         + (unknown,) * (len(_SLOTS[kind]) - len(shown)))
+    return tuple(histories)
 
 
 # --- encoding trees to events and back ---

@@ -314,23 +314,30 @@ class FlatTree:
         return tree
 
 
-def walk(tree, history):
-    """Follow the questions of complete FlatTree `tree` from the root; the
-    id of the reached leaf.  Only the slots the questions read are
-    encoded: a missing value answers `isnull` yes and every other question
-    no, and a symbol its class tree does not cover raises UnknownId
-    (unless the tree has a fallback) only when a question reads its slot."""
+UNKNOWN = object()  # a history slot that may hold any value
+
+
+def walk(tree, history, node=0):
+    """Follow the questions of complete FlatTree `tree` from node `node`,
+    the root by default; the id of the reached leaf, or of the first node
+    on the way whose question reads a slot holding UNKNOWN.  Only the
+    slots the questions read are encoded: a missing value answers `isnull`
+    yes and every other question no, and a symbol its class tree does not
+    cover raises UnknownId (unless the tree has a fallback) only when a
+    question reads its slot."""
     if len(history) != tree.width:
         raise SlotLayoutMismatch(
             f"history has {len(history)} slots, schema expects {tree.width}")
     slots, kinds, args, tables = tree.slots, tree.kinds, tree.args, tree.tables
     yes, no = tree.yes, tree.no
-    i = 0
+    i = node
     while (slot := slots[i]) >= 0:
         value = history[slot]
         kind = kinds[i]
         if value is None:
             answer = kind == _ISNULL
+        elif value is UNKNOWN:
+            return i
         elif kind == _ISNULL:
             answer = False
         else:
@@ -341,39 +348,21 @@ def walk(tree, history):
     return i
 
 
-UNKNOWN = object()  # a history slot that may hold any value
-
-
 def max_leaf_probability(tree, history, dists):
     """The largest probability that a leaf of FlatTree `tree` reachable
     from `history` gives any future, where `dists[i]` is node i's
     distribution.  A question on a slot holding UNKNOWN follows both
-    branches; any other slot is answered as `walk` answers it, so the
-    result bounds `dists[walk(tree, h)]` for every history h that agrees
-    with `history` outside its UNKNOWN slots."""
-    slots, kinds, args, tables = tree.slots, tree.kinds, tree.args, tree.tables
+    branches, and `walk` answers every other, so the result bounds
+    `dists[walk(tree, h)]` for every history h that agrees with `history`
+    outside its UNKNOWN slots."""
     best = 0.0
     todo = [0]
     while todo:
-        i = todo.pop()
-        slot = slots[i]
-        if slot < 0:
+        i = walk(tree, history, todo.pop())
+        if tree.slots[i] < 0:
             best = max(best, float(dists[i].max()))
-            continue
-        value = history[slot]
-        kind = kinds[i]
-        if value is UNKNOWN:
-            todo.extend((tree.yes[i], tree.no[i]))
-            continue
-        if value is None:
-            answer = kind == _ISNULL
-        elif kind == _ISNULL:
-            answer = False
         else:
-            table = tables[i]
-            code = int(value) if table is None else table[value]
-            answer = code >> args[i] & 1 if kind == _BIT else code <= args[i]
-        todo.append(tree.yes[i] if answer else tree.no[i])
+            todo.extend((tree.yes[i], tree.no[i]))
     return best
 
 

@@ -239,7 +239,6 @@ def save_model_set(model_set, config, path):
                    for kind, model in model_set.models.items()},
         "settings": {
             "u_max": model_set.u_max,
-            "renormalize": model_set.renormalize,
             "schema_version": SCHEMA_VERSION,
             "config": {k: repr(v) for k, v in config.as_dict().items()},
         },
@@ -334,7 +333,6 @@ def load_model_set(path):
     if u_max < 0:
         raise ModelFileError(f"{path}: settings field 'u_max' is {u_max}, "
                              f"below 0")
-    renormalize = _field(settings, "renormalize", bool, f"{path}: settings")
 
     vocab = _vocab_from(sections["vocabularies"])
     class_trees = _class_trees_from(sections["class_trees"], vocab,
@@ -344,4 +342,4 @@ def load_model_set(path):
         _field(sections["models"], kind, object, f"{path}: models"),
         make_schema(kind, vocab, class_trees)) for kind in derivation.KINDS}
     return ModelSet(vocab=vocab, heads=heads, class_trees=class_trees,
-                    models=models, u_max=u_max, renormalize=renormalize)
+                    models=models, u_max=u_max)

@@ -29,7 +29,7 @@ from .headfinder import default_head_rules
 
 log = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 DEFAULT_U_MAX = 4
 
 
@@ -42,7 +42,6 @@ class ModelSet:
     class_trees: dict              # value kind -> ClassTree
     models: dict                   # decision kind -> SmoothedModel
     u_max: int
-    renormalize: bool = False
     _ctx: object = field(default=None, init=False, repr=False, compare=False)
     _word_bounds: dict = field(default_factory=dict, init=False,
                                repr=False, compare=False)
@@ -57,12 +56,9 @@ class ModelSet:
     def word_bound(self, word):
         """Upper bounds, as log probabilities, on the tag decision of
         `word` and on the extension decision of its word node, wherever
-        the word stands in whatever sentence.  Both are 0 when
-        `renormalize` is on, since rescaled probabilities can exceed any
-        leaf's.  Computed on a word's first use and cached by its class
-        code, which is all of the word the models can read."""
-        if self.renormalize:
-            return 0.0, 0.0
+        the word stands in whatever sentence.  Computed on a word's first
+        use and cached by its class code, which is all of the word the
+        models can read."""
         code = self.class_trees["word"].codes[word]
         bound = self._word_bounds.get(code)
         if bound is None:
@@ -152,8 +148,7 @@ def train(grow_trees, smooth_trees, config, heads=None, vocab=None,
     u_max = config.u_max if config.u_max > 0 else observed_u_max(all_trees)
 
     model_set = ModelSet(vocab=vocab, heads=heads, class_trees=class_trees,
-                         models={}, u_max=u_max,
-                         renormalize=config.renormalize)
+                         models={}, u_max=u_max)
     ctx = model_set.context()
     grow_events = _encode_corpus(grow_trees, ctx, "grow")
     heldout_events = _encode_corpus(smooth_trees, ctx, "heldout")
@@ -177,7 +172,6 @@ def action_scores(model_set, state):
     Probabilities come straight from the decision-tree model; values made
     illegal by the derivation rules are dropped without renormalising, so
     a partial derivation's probability never understates its completions.
-    (Set `renormalize` to rescale the legal ones to sum to 1 instead.)
     The model's tree walk reads the history through a
     `derivation.HistoryView`, which computes only the slots it asks.
     """
@@ -187,11 +181,6 @@ def action_scores(model_set, state):
     leaf = dtm.walk(model.tree,
                     derivation.HistoryView(state, decision=decision))
     index = model.schema.future_index
-    if model_set.renormalize:
-        probs = model.smoothed[leaf]
-        scored = [(value, float(probs[index[value]])) for value in candidates]
-        mass = sum(p for _, p in scored)
-        return kind, [(value, math.log(p / mass)) for value, p in scored]
     logs = model.log_row(leaf)
     return kind, [(value, logs[index[value]]) for value in candidates]
 

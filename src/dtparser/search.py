@@ -18,9 +18,7 @@ because it drops by exactly the bound of each decision it settles, so
 heap falls below the best complete parse found so far, by more than
 float rounding, no hypothesis left can complete to one as good, and the
 loop stops.  A popped hypothesis whose `logprob` alone is below that
-parse's is dropped unexpanded.  With `renormalize` on, rescaled
-probabilities can exceed any leaf's, so `h` is 0 and the loop is a
-uniform-cost search.
+parse's is dropped unexpanded.
 
 Equal-probability complete parses are tie-broken toward the
 lexicographically smallest decision sequence; pruning keeps

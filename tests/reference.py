@@ -8,7 +8,8 @@ build fixtures with them.
 import numpy as np
 
 from dtparser.classtree import _mi_terms
-from dtparser.derivation import apply_action, initial_state, to_raw_tree
+from dtparser.derivation import (KIND_LABEL, KIND_TAG, TAG_LABEL, _pending,
+                                 apply_action, initial_state, to_raw_tree)
 from dtparser.dtm import DTNode, FlatTree, _entropy_bits
 from dtparser.errors import IllegalAction, NoEvents
 
@@ -107,3 +108,67 @@ def average_mutual_information(matrix):
     pl = m.sum(axis=1)
     pr = m.sum(axis=0)
     return float(_mi_terms(m, pl[:, None], pr[None, :], total).sum())
+
+
+_NULL_SLOTS = (None, None, None, None, None, None)
+
+
+def _node_slots(node):
+    label = node.label if not node.is_leaf else TAG_LABEL
+    return (node.word, node.tag, label, node.extension,
+            len(node.children), node.width)
+
+
+def _untagged_slots(state, i):
+    # Word not yet reached by the derivation: only its surface form is known.
+    if 0 <= i < len(state.words):
+        return (state.words[i], None, None, None, 0, 1)
+    return _NULL_SLOTS
+
+
+def extract_history(state, kind=None):
+    """The history of the pending decision, every slot written out by hand
+    in the order of `derivation.slot_layout`: the oracle of the readers
+    that `derivation` generates from its layout table."""
+    actual_kind, target = _pending(state, kind)
+    stack = state.stack
+    if actual_kind == KIND_TAG:
+        i = target
+        cur = (state.words[i], None, TAG_LABEL, None, 0, 1)
+        lefts = [stack[-1] if len(stack) >= 1 else None,
+                 stack[-2] if len(stack) >= 2 else None]
+        right_at = i + 1
+        children = (None, None, None, None)
+    else:
+        node = target
+        if actual_kind == KIND_LABEL:
+            # Head word and tag are unknown until the label picks the head.
+            cur = (None, None, None, None, len(node.children), node.width)
+        else:
+            cur = _node_slots(node)
+        lefts = [stack[-2] if len(stack) >= 2 else None,
+                 stack[-3] if len(stack) >= 3 else None]
+        right_at = node.end + 1
+        kids = node.children
+        children = (kids[0] if len(kids) >= 1 else None,
+                    kids[1] if len(kids) >= 2 else None,
+                    kids[-1] if len(kids) >= 1 else None,
+                    kids[-2] if len(kids) >= 2 else None)
+
+    slots = list(cur)
+    for nb in lefts:
+        slots.extend(_node_slots(nb) if nb is not None else _NULL_SLOTS)
+    slots.extend(_untagged_slots(state, right_at))
+    slots.extend(_untagged_slots(state, right_at + 1))
+    for kid in children:
+        slots.extend(_node_slots(kid) if kid is not None else _NULL_SLOTS)
+
+    if actual_kind == KIND_TAG:
+        i = target
+        for back in (1, 2):
+            if i - back >= 0:
+                slots.append(state.words[i - back])
+                slots.append(state.tagged[i - back])
+            else:
+                slots.extend((None, None))
+    return tuple(slots)

@@ -182,8 +182,9 @@ def test_parse_reads_stdin(model_path, monkeypatch, capsys):
 
 @given(st.text(alphabet="ab \n\r\x0b\x0c\x1c\x85\u2028"))
 def test_parse_reads_the_lines_str_splitlines_finds(text):
-    assert list(cli._sentences(io.StringIO(text))) == \
-        [line.split() for line in text.splitlines()]
+    lines = [line.split() for line in text.splitlines()]
+    assert list(cli._sentences(io.StringIO(text))) == lines
+    assert list(cli._sentences(io.BytesIO(text.encode("utf-8")))) == lines
 
 
 def test_parse_answers_each_line_before_the_next_is_written(model_path):
@@ -318,6 +319,18 @@ def test_parse_missing_input_file(model_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_parse_exits_2_at_a_line_that_is_not_utf8(model_path, tmp_path,
+                                                  capsys):
+    (tmp_path / "in.txt").write_bytes(b"the dog runs\n\xff\xfe bad\nrex runs\n")
+    assert cli.main(["parse", model_path, str(tmp_path / "in.txt")]) == \
+        cli.EXIT_DATA
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].endswith("\toptimal")
+    assert "dtparser parse: error:" in captured.err
+    assert "utf-8" in captured.err and "Traceback" not in captured.err
+
+
 # --- eval / report ---
 
 def test_eval_gold_against_itself(workdir, capsys):
@@ -432,6 +445,36 @@ def test_missing_treebank_exits_2(tmp_path, capsys):
     code = cli.main(["classes", "/no/such/file", "-o", str(tmp_path / "c")])
     assert code == cli.EXIT_DATA
     assert "dtparser classes: error:" in capsys.readouterr().err
+
+
+def test_train_exits_2_on_a_treebank_that_is_not_utf8(workdir, tmp_path,
+                                                       capsys):
+    treebank = tmp_path / "bad.mrg"
+    treebank.write_bytes((workdir / "toy.mrg").read_bytes()
+                         + b"(S (NP \xff_NNP) (VP runs_VBZ))\n")
+    assert cli.main(["train", str(treebank), "-o", str(tmp_path / "m")]
+                    + _flags(workdir)) == cli.EXIT_DATA
+    assert "dtparser train: error:" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def test_config_file_that_is_not_utf8_exits_2(workdir, tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_bytes(b"min_events=2\n# caf\xe9\n")
+    assert cli.main(["train", str(workdir / "toy.mrg"), "-o",
+                     str(tmp_path / "m"), "--config", str(conf)]) == \
+        cli.EXIT_DATA
+    assert "dtparser train: error:" in capsys.readouterr().err
+
+
+def test_renormalize_is_an_unknown_setting(workdir, tmp_path, capsys):
+    conf = tmp_path / "renormalize.conf"
+    conf.write_text(CONFIG_TEXT + "renormalize=true\n")
+    assert cli.main(["train", str(workdir / "toy.mrg"), "-o",
+                     str(tmp_path / "m"), "--config", str(conf)]) == \
+        cli.EXIT_DATA
+    assert "unknown setting 'renormalize=true'" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_flags_override_config_files(tmp_path):

@@ -10,7 +10,10 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 import toylang
 from reference import decode, replay
 from dtparser.corpus import RawLeaf, RawTree, format_tree, parse_tree
@@ -18,7 +21,8 @@ from dtparser.derivation import (KIND_EXTENSION, KIND_LABEL,
                                  KIND_TAG, TAG_LABEL, DerivationContext,
                                  HistoryView, apply_action, encode, extract_history,
                                  initial_state, legal_actions, max_unary_chain,
-                                 slot_layout, to_raw_tree)
+                                 slot_layout, to_raw_tree, word_histories)
+from dtparser.dtm import UNKNOWN
 from dtparser.errors import (DeadEnd, EmptyInput, IllegalAction,
                              NonContiguousTree, UnaryChainTooLong)
 from dtparser.headfinder import default_head_rules, parse_head_rules
@@ -177,6 +181,43 @@ def test_random_tree_events_are_pinned():
             line = repr((event.kind, event.history, event.future)) + "\n"
             digest.update(line.encode("utf-8"))
     assert digest.hexdigest() == RANDOM_EVENTS_SHA256
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_encoded_histories_match_the_oracle_on_random_trees(seed):
+    """Every event's history, and every slot of the lazy view of the same
+    state, equals the hand-written oracle's, for all three kinds."""
+    tree = toylang.random_tree(random.Random(seed))
+    ctx = toy_ctx()
+    state = initial_state([leaf.word for leaf in _leaves(tree)], ctx)
+    kinds = set()
+    for event in encode(tree, ctx):
+        assert event.history == reference.extract_history(state, event.kind)
+        view = HistoryView(state, event.kind)
+        assert tuple(view[i] for i in range(len(view))) == event.history
+        kinds.add(event.kind)
+        state = apply_action(state, (event.kind, event.future))
+    assert kinds == {KIND_TAG, KIND_LABEL, KIND_EXTENSION}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_word_histories_agree_with_the_word_at_every_position(seed):
+    """Each slot of a word's real tag history, and of the history of its
+    word node's extension right after, equals the slot `word_histories`
+    generates for the word, or the generated slot is UNKNOWN."""
+    events = encode(toylang.random_tree(random.Random(seed)), toy_ctx())
+    for event, after in zip(events, events[1:]):
+        if event.kind != KIND_TAG:
+            continue
+        assert after.kind == KIND_EXTENSION
+        word = event.history[0]
+        generated = word_histories(word, UNKNOWN)
+        assert generated[0][0] == generated[1][0] == word
+        for real, fixed in zip((event.history, after.history), generated):
+            assert len(real) == len(fixed)
+            assert all(g is UNKNOWN or g == r for r, g in zip(real, fixed))
 
 
 def _leaves(tree):

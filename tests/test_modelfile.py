@@ -94,7 +94,6 @@ def test_predictions_are_read_only(toy_treebank, toy_model_set, loaded):
 
 def test_round_trip_preserves_settings(toy_model_set, loaded):
     assert loaded.u_max == toy_model_set.u_max
-    assert loaded.renormalize == toy_model_set.renormalize
     assert loaded.vocab == toy_model_set.vocab
     for kind, tree in toy_model_set.class_trees.items():
         assert loaded.class_trees[kind].export_text() == tree.export_text()
@@ -119,7 +118,7 @@ def test_saving_twice_is_deterministic(toy_model_set, saved, tmp_path):
 # SHA-256 of the conftest toy model file, as saved with Python 3.11.7 and
 # numpy 2.4.6.  A change that alters any byte of a saved model changes it.
 TOY_MODEL_SHA256 = \
-    "c9d6ab2bd2a6dc9751b54b7be20e827211a0dde719a7bfb539fa94e3fb9e5c94"
+    "1f22a646c103b80f925e39a276fae4b68d34ee2401ddeffc70540a14ec887cf3"
 
 
 def test_toy_model_file_bytes_are_pinned(saved):
@@ -129,7 +128,7 @@ def test_toy_model_file_bytes_are_pinned(saved):
 # SHA-256 of a model of 150 arbitrary random trees, whose unary chains
 # train every extension; saved as the toy model pin above was.
 RANDOM_MODEL_SHA256 = \
-    "ebc669d9f1d66ec20b20b84391221105ade7d1dd09b6379bec561ad0f9bc981a"
+    "edafce2d00c2777d02feedc3f244b18b9e984a26dffb60c87e80e46fa7152def"
 RANDOM_CONFIG = Config(unk_threshold=1, min_events=4, cluster_window=64)
 
 
@@ -186,23 +185,37 @@ def test_unsupported_version_is_rejected(saved, tmp_path):
 def test_other_schema_version_is_rejected(toy_model_set, saved, tmp_path,
                                           capsys):
     """A version-1 file, which stored each leaf's distribution as `p`
-    beside the counts and lambdas it derives from, is refused."""
-    def version_1(envelope):
-        for kind, data in envelope["sections"]["models"]["data"].items():
+    beside the counts and lambdas it derives from, is refused; so is a
+    version-2 file, whose settings could ask to rescale each decision's
+    legal values to sum to 1."""
+    def version_1(settings, models):
+        for kind, data in models.items():
             smoothed = toy_model_set.models[kind].smoothed
             for entry, dist in zip(data["nodes"], smoothed):
                 if dist is not None:
                     entry["p"] = [float(x).hex() for x in dist]
-        envelope["sections"]["settings"]["data"]["schema_version"] = 1
-        for wrapped in envelope["sections"].values():
-            wrapped["sha256"] = modelfile._checksum(wrapped["data"])
-    path = _rewrite(saved, tmp_path, version_1)
-    with pytest.raises(ModelFileError, match="schema version 1"):
-        modelfile.load_model_set(path)
+
+    def version_2(settings, models):
+        settings["renormalize"] = True
+        settings["config"]["renormalize"] = "True"
+
     (tmp_path / "in.txt").write_text("the dog runs\n")
-    assert cli.main(["parse", str(path), str(tmp_path / "in.txt")]) == \
-        cli.EXIT_DATA
-    assert "schema version 1" in capsys.readouterr().err
+    for version, retire in ((1, version_1), (2, version_2)):
+        def mutate(envelope):
+            sections = envelope["sections"]
+            settings = sections["settings"]["data"]
+            retire(settings, sections["models"]["data"])
+            settings["schema_version"] = version
+            for wrapped in sections.values():
+                wrapped["sha256"] = modelfile._checksum(wrapped["data"])
+        path = _rewrite(saved, tmp_path, mutate)
+        with pytest.raises(ModelFileError, match=f"schema version {version}"):
+            modelfile.load_model_set(path)
+        assert cli.main(["parse", str(path), str(tmp_path / "in.txt")]) == \
+            cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"schema version {version}" in captured.err
 
 
 def test_bad_magic_is_rejected(saved, tmp_path):
@@ -362,9 +375,7 @@ def test_malformed_class_tree_is_rejected(saved, tmp_path, mutate):
     lambda d: d.update(u_max=2.0),
     lambda d: d.update(u_max=-1),
     lambda d: d.pop("u_max"),
-    lambda d: d.update(renormalize=0),
-], ids=["string-u-max", "float-u-max", "negative-u-max", "missing-u-max",
-        "int-renormalize"])
+], ids=["string-u-max", "float-u-max", "negative-u-max", "missing-u-max"])
 def test_malformed_settings_are_rejected(saved, tmp_path, mutate):
     path = _resealed(saved, tmp_path, "settings", mutate)
     with pytest.raises(ModelFileError, match="settings (field|lacks)"):

@@ -95,17 +95,6 @@ def test_action_scores_do_not_overstate(toy_model_set):
         state = derivation.apply_action(state, (kind, value))
 
 
-def test_renormalized_scores_sum_to_one(toy_model_set):
-    renorm = dataclasses.replace(toy_model_set, renormalize=True)
-    ctx = renorm.context()
-    state = derivation.initial_state(["a", "cat", "sleeps"], ctx)
-    for _ in range(4):
-        kind, scored = models.action_scores(renorm, state)
-        assert sum(math.exp(score) for _, score in scored) == \
-            pytest.approx(1.0, abs=1e-9)
-        state = derivation.apply_action(state, (kind, scored[0][0]))
-
-
 def test_replace_starts_a_fresh_context(toy_model_set):
     ctx = toy_model_set.context()
     capped = dataclasses.replace(toy_model_set, u_max=1)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 import toylang
 from dtparser import derivation, dtm, models, search
 from dtparser.config import Config
@@ -139,8 +140,9 @@ def assert_matches_enumeration(model_set, words, config):
 def test_history_view_agrees_with_extract_history(model, toy_model_set,
                                                   random_tree_model_set,
                                                   config, monkeypatch):
-    """On every state the search scores, each slot of the lazy view equals
-    the bulk history's, and the tree walk reaches the same leaf."""
+    """On every state the search scores, each slot of the lazy view and
+    of the bulk history equals the hand-written oracle's, and the tree
+    walk reaches the same leaf."""
     if model == "toy":
         model_set = toy_model_set
         sentences = toylang.short_sentences(20, 81) + [LONG_SENTENCE]
@@ -167,14 +169,17 @@ def test_history_view_agrees_with_extract_history(model, toy_model_set,
     assert {kind for _, kind in reached} >= set(derivation.KINDS)
     for state, kind in reached:
         try:
-            history = derivation.extract_history(state)
+            history = reference.extract_history(state)
         except IllegalAction:
             with pytest.raises(IllegalAction):
                 derivation.HistoryView(state)
+            with pytest.raises(IllegalAction):
+                derivation.extract_history(state)
             continue
         view = derivation.HistoryView(state, kind)
         assert len(view) == len(history)
         assert tuple(view[i] for i in range(len(view))) == history
+        assert derivation.extract_history(state, kind) == history
         if kind is not None:
             tree = model_set.models[kind].tree
             assert dtm.walk(tree, view) == dtm.walk(tree, history)
@@ -199,18 +204,6 @@ def test_search_matches_enumeration_on_an_ambiguous_model(
 def test_search_matches_enumeration_on_generated_sentences(
         random_tree_model_set, config, words):
     assert_matches_enumeration(random_tree_model_set, words, config)
-
-
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2 ** 32))
-def test_search_matches_enumeration_when_renormalized(toy_model_set, config,
-                                                      seed):
-    # Rescaled probabilities can exceed any leaf's, so the search runs
-    # without the per-word bound here.
-    renormalized = dataclasses.replace(toy_model_set, renormalize=True)
-    assert renormalized.word_bound("the") == (0.0, 0.0)
-    words = toylang.short_sentences(1, seed, max_words=6)[0]
-    assert_matches_enumeration(renormalized, words, config)
 
 
 def _rewrite_words(tree, rng, vocabulary):
