@@ -18,9 +18,9 @@ The k x k merge losses are kept up to date rather than recomputed
 the part of each pair's loss that sums over third classes is adjusted
 by the merged or admitted class alone, so a step costs O(k^2) instead of
 O(k^3).  The incremental losses only nominate candidates: every pair
-within rounding of the least is re-scored by the same row computation
-`_merge_losses` uses, so each merge, and so each code, is exactly what
-recomputing all losses would give.
+within rounding of the least is re-scored exactly, a row at a time by
+`_merge_loss_row`, so each merge, and so each code, is exactly what
+recomputing all losses with it would give.
 """
 
 import logging
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyVocabulary, UnknownId
+from .errors import BadSetting, EmptyVocabulary, UnknownId
 
 log = logging.getLogger(__name__)
 
@@ -122,7 +122,8 @@ def fixed_class_tree(symbols, budget):
     if not symbols:
         raise EmptyVocabulary("cannot build a class tree over nothing")
     if len(symbols) > (1 << budget):
-        raise ValueError(f"{len(symbols)} symbols do not fit in {budget} bits")
+        raise BadSetting(f"{len(symbols)} symbols do not fit in a budget of "
+                         f"{budget} bits")
     codes = {sym: i for i, sym in enumerate(symbols)}
     depth = max(1, (len(symbols) - 1).bit_length())
     return ClassTree(codes=codes, budget=budget, depth=depth, truncated=False,
@@ -137,7 +138,7 @@ def _mi_terms(m, row_mass, col_mass, total):
 
 
 def _loss_context(m):
-    """What every row of `_merge_losses` reads of count matrix `m`: its
+    """What every `_merge_loss_row` reads of count matrix `m`: its
     total, its row and column sums, its MI terms and the MI mass touching
     each class.  `m` must have a nonzero total."""
     total = m.sum()
@@ -169,26 +170,6 @@ def _merge_loss_row(m, a, context):
     new_mass = row_term + col_term + self_term
     old_mass = involve[a] + involve[bs] - terms[a, bs] - terms[bs, a]
     return old_mass - new_mass
-
-
-def _merge_losses(m):
-    """Loss of average MI for merging every class pair of count matrix `m`.
-
-    Returns a k x k array; entry (a, b) with a < b is the MI drop from
-    merging classes a and b.  Other entries are +inf.  This recomputes
-    everything at O(k^3); `build_class_tree` keeps the losses up to date
-    instead and re-scores only its candidate rows with `_merge_loss_row`.
-    """
-    k = m.shape[0]
-    losses = np.full((k, k), np.inf)
-    if m.sum() == 0:
-        iu = np.triu_indices(k, 1)
-        losses[iu] = 0.0
-        return losses
-    context = _loss_context(m)
-    for a in range(k - 1):
-        losses[a, a + 1:] = _merge_loss_row(m, a, context)
-    return losses
 
 
 def _g(x):
@@ -274,7 +255,8 @@ class _MergeLosses:
         self.h[a, :] = self.h[:, a] = _third_class_row(self.m, a)
 
     def losses(self):
-        """The incremental counterpart of `_merge_losses(self.m)`."""
+        """Entry (a, b), a < b, is the MI drop from merging classes a and
+        b, as `_merge_loss_row` recomputes it up to rounding; others +inf."""
         m = self.m
         k = len(m)
         total = m.sum()
@@ -294,7 +276,7 @@ class _MergeLosses:
         return losses
 
     def best(self):
-        """The pair (a, b) that argmin over `_merge_losses(self.m)` picks:
+        """The pair (a, b) that argmin over the recomputed losses picks:
         the least loss, ties to the earliest pair.  Pairs whose incremental
         loss is within rounding of the least are candidates, and each
         candidate row is re-scored exactly by `_merge_loss_row`."""

@@ -11,8 +11,8 @@ Commands::
 Shared flags: ``--format`` (treebank format), ``--seed``, ``--config``
 (key=value file; command-line flags win).  Exit codes: 0 success, 1 usage,
 2 data error (bad input files, input that is not UTF-8, malformed trees,
-model mismatches), 3 internal error, which for ``parse`` includes any
-sentence printed as an ERROR line.
+model mismatches, settings training cannot use), 3 internal error, which
+for ``parse`` includes any sentence printed as an ERROR line.
 """
 
 import argparse
@@ -25,7 +25,7 @@ from contextlib import ExitStack
 from . import corpus, models, parseval, search
 from .config import Config, load_config
 from .corpus import read_treebank, split_corpus
-from .errors import AlignmentMismatch, DTParserError, EmptyCorpus
+from .errors import AlignmentMismatch, DTParserError, EmptyCorpus, decode_utf8
 from .headfinder import default_head_rules, load_head_rules
 from .modelfile import (load_classes, load_model_set, save_classes,
                         save_model_set)
@@ -130,7 +130,9 @@ def _load_settings(args):
         overrides["include_root"] = False
     if getattr(args, "unique", False):
         overrides["multiset"] = False
-    return config.replace(**overrides)
+    config = config.replace(**overrides)
+    corpus.check_format(config.format)
+    return config
 
 
 # --- classes ---
@@ -239,8 +241,10 @@ def _sentences(fh):
     """The words of each line of `fh.read().splitlines()`, read lazily.  A
     binary `fh` is decoded as UTF-8 a line at a time, so the lines before
     one that is not UTF-8 are parsed before it raises."""
-    for chunk in fh:
-        text = chunk.decode("utf-8") if isinstance(chunk, bytes) else chunk
+    name = getattr(fh, "name", "<stdin>")
+    for lineno, chunk in enumerate(fh, start=1):
+        text = (decode_utf8(chunk, name, lineno) if isinstance(chunk, bytes)
+                else chunk)
         yield from (line.split() for line in text.splitlines())
 
 
@@ -351,7 +355,7 @@ def main(argv=None):
             with open(out_path, "w", encoding="utf-8") as fh:
                 return commands[args.command](args, fh)
         return commands[args.command](args, sys.stdout)
-    except (DTParserError, OSError, UnicodeDecodeError) as exc:
+    except (DTParserError, OSError) as exc:
         print(f"dtparser {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception:  # pragma: no cover - defensive

@@ -9,7 +9,7 @@ defaults below.
 import dataclasses
 from dataclasses import dataclass
 
-from .errors import DTParserError
+from .errors import DTParserError, read_text
 
 
 @dataclass
@@ -74,7 +74,6 @@ def parse_config(text, base=None):
     """Apply `key=value` lines from `text` on top of `base` (or defaults)."""
     config = base if base is not None else Config()
     fields = {f.name: f.type for f in dataclasses.fields(Config)}
-    types = {"str": str, "int": int, "float": float, "bool": bool}
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -84,13 +83,9 @@ def parse_config(text, base=None):
         key = key.strip().replace("-", "_")
         if not sep or key not in fields:
             raise DTParserError(f"config line {lineno}: unknown setting {line!r}")
-        kind = fields[key]
-        if isinstance(kind, str):  # dataclass stores annotations as strings
-            kind = types[kind]
-        updates[key] = _coerce(key, kind, raw.strip())
+        updates[key] = _coerce(key, fields[key], raw.strip())
     return config.replace(**updates)
 
 
 def load_config(path, base=None):
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read(), base=base)
+    return parse_config(read_text(path), base=base)

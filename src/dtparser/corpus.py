@@ -28,8 +28,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import (EmptyConstituent, EmptyCorpus, FractionOutOfRange,
-                     MissingTag, UnbalancedBrackets)
+from .errors import (BadSetting, EmptyConstituent, EmptyCorpus,
+                     FractionOutOfRange, MissingTag, UnbalancedBrackets,
+                     read_text)
 
 log = logging.getLogger(__name__)
 
@@ -81,9 +82,10 @@ class RawTree:
         return done[0]
 
 
-def _check_format(fmt):
+def check_format(fmt):
     if fmt not in FORMATS:
-        raise ValueError(f"unknown treebank format {fmt!r}, expected one of {FORMATS}")
+        raise BadSetting(f"unknown treebank format {fmt!r}, expected one "
+                         f"of {'/'.join(FORMATS)}")
 
 
 def parse_trees(text, fmt="underscore"):
@@ -92,7 +94,7 @@ def parse_trees(text, fmt="underscore"):
     Returns a list of RawTree.  Raises UnbalancedBrackets, MissingTag or
     EmptyConstituent on malformed input; positions are character offsets.
     """
-    _check_format(fmt)
+    check_format(fmt)
     trees = []
     stack = []  # open groups: [open position, label, children, bare tokens]
     for m in _TOKEN_RE.finditer(text):
@@ -160,7 +162,7 @@ def postorder(tree):
 
 def format_tree(tree, fmt="underscore"):
     """Render a tree back to its bracketed text form."""
-    _check_format(fmt)
+    check_format(fmt)
     rendered = []  # texts of finished nodes whose parent is still open
     for node, _, _ in postorder(tree):
         if isinstance(node, RawLeaf):
@@ -174,8 +176,7 @@ def format_tree(tree, fmt="underscore"):
 
 
 def read_treebank(path, fmt="underscore"):
-    with open(path, encoding="utf-8") as fh:
-        return parse_trees(fh.read(), fmt)
+    return parse_trees(read_text(path), fmt)
 
 
 def write_treebank(trees, path, fmt="underscore"):

@@ -42,7 +42,7 @@ in which each internal node has both branches.
 
 import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,14 +52,28 @@ log = logging.getLogger(__name__)
 
 SIZE_THRESHOLDS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 40)
 CATEGORICAL_KINDS = ("word", "tag", "label", "extension")
+NUMERIC_KINDS = ("count", "width")
+
+# The questions training asks of a slot, by its value kind: each question
+# kind in canonical order, the arguments it takes given the kind's class
+# tree (None for a number), and those in words.  Bits at or beyond a class
+# tree's depth are 0 in every code, so they are never asked.
+_ASK_NULL = {"isnull": (lambda tree: (0,), "isnull 0")}
+QUESTIONS = {
+    **dict.fromkeys(CATEGORICAL_KINDS, {**_ASK_NULL, "bit": (
+        lambda tree: range(tree.depth),
+        "a bit below its class tree's depth {tree.depth}")}),
+    **dict.fromkeys(NUMERIC_KINDS, {**_ASK_NULL, "le": (
+        lambda tree: SIZE_THRESHOLDS,
+        f"le a threshold in {'/'.join(map(str, SIZE_THRESHOLDS))}")}),
+}
 
 # Count bucket b covers training counts in [2^b, 2^(b+1)).  Without held-out
 # data the lambda of bucket b falls back to this fixed schedule.
 _FALLBACK_PIVOT = 8.0
 
 
-@dataclass(frozen=True)
-class Question:
+class Question(NamedTuple):
     slot: int
     kind: str  # "isnull" | "bit" | "le"
     arg: int = 0
@@ -83,19 +97,12 @@ class ModelSchema:
         self.future_index = {f: i for i, f in enumerate(self.futures)}
 
     def questions(self):
-        """Every candidate question, in the canonical (slot, kind) order
-        used for deterministic tie-breaking.  Bits at or beyond a class
-        tree's depth are 0 in every code, so they are never asked."""
-        out = []
-        for slot, (_, vkind) in enumerate(self.slots):
-            out.append(Question(slot, "isnull"))
-            if vkind in CATEGORICAL_KINDS:
-                for b in range(self.encoders[vkind].depth):
-                    out.append(Question(slot, "bit", b))
-            else:
-                for t in SIZE_THRESHOLDS:
-                    out.append(Question(slot, "le", t))
-        return out
+        """Every candidate question of `QUESTIONS`, in the canonical
+        (slot, kind) order used for deterministic tie-breaking."""
+        return [Question(slot, kind, arg)
+                for slot, (_, vkind) in enumerate(self.slots)
+                for kind, (args, _) in QUESTIONS[vkind].items()
+                for arg in args(self.encoders.get(vkind))]
 
     def encode_histories(self, histories):
         """Codes and nulls mask, one row per history, filled one slot

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one reader of
+text input files.
 
 Everything raised on bad input data derives from DTParserError so the
 command-line layer can map it to a single exit code.
@@ -7,6 +8,27 @@ command-line layer can map it to a single exit code.
 
 class DTParserError(Exception):
     """Base class for all input/data errors raised by this package."""
+
+
+class BadSetting(DTParserError):
+    """A setting holds a value the program cannot work with."""
+
+
+def decode_utf8(data, path, line=1):
+    """Bytes `data`, from line `line` on of file `path`, as text; a byte
+    that is not UTF-8 raises DTParserError naming the file and its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line += data.count(b"\n", 0, exc.start)
+        raise DTParserError(
+            f"{path}:{line}: not utf-8: {exc.reason}") from None
+
+
+def read_text(path):
+    """The text of file `path`, decoded by `decode_utf8`."""
+    with open(path, "rb") as fh:
+        return decode_utf8(fh.read(), path)
 
 
 # --- treebank reading / vocabulary building ---

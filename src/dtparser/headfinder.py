@@ -19,7 +19,7 @@ speech tags for word children.
 import logging
 from dataclasses import dataclass
 
-from .errors import BadRuleSyntax
+from .errors import BadRuleSyntax, read_text
 
 log = logging.getLogger(__name__)
 
@@ -89,8 +89,8 @@ def parse_head_rules(text, default_direction="from-right"):
 
 
 def load_head_rules(path, default_direction="from-right"):
-    with open(path, encoding="utf-8") as fh:
-        return parse_head_rules(fh.read(), default_direction=default_direction)
+    return parse_head_rules(read_text(path),
+                            default_direction=default_direction)
 
 
 def default_head_rules():

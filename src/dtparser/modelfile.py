@@ -1,14 +1,13 @@
-"""Model persistence.
-
-A model file is a JSON envelope with a magic string, a format version
-and named sections (vocabularies, class trees, head rules, the three
-decision-tree models, configuration echo).  Every section carries a
-SHA-256 checksum of its canonical serialization, verified on load.
-A decision-tree model stores its nodes' questions and counts and its
-bucket interpolation weights (C99 hex float literals); from them
+"""Model and classes files: one JSON envelope of a magic string naming
+the file's kind, a format version and named sections, each sealed with
+the SHA-256 of its canonical serialization.  `_write` writes it; `_read`
+checks the magic, the version, every checksum and the sections the kind
+requires.  A classes file holds the vocabularies and class trees, a model
+file those, the head rules, the three decision-tree models and the
+settings.  A model stores its nodes' questions and counts and its bucket
+interpolation weights (C99 hex float literals); from them
 `dtm.SmoothedModel` derives the leaf distributions on load as in
-training, bit for bit.  A version mismatch or checksum failure is a hard
-error.
+training, bit for bit.  Any failed check is a ModelFileError.
 """
 
 import hashlib
@@ -18,15 +17,16 @@ import numpy as np
 
 from . import derivation, dtm
 from .classtree import ClassTree
-from .config import Config
 from .corpus import UNK, Vocabularies
-from .errors import DegenerateDistribution, ModelFileError
+from .errors import DegenerateDistribution, ModelFileError, read_text
 from .headfinder import DIRECTIONS, HeadRule, HeadRuleTable
-from .models import SCHEMA_VERSION, ModelSet, make_schema
+from .models import SCHEMA_VERSION, ModelSet, class_symbols, make_schema
 
 MAGIC = "dtparser-model"
 CLASSES_MAGIC = "dtparser-classes"
 FORMAT_VERSION = 1
+CLASSES_SECTIONS = ("vocabularies", "class_trees")
+MODEL_SECTIONS = CLASSES_SECTIONS + ("head_rules", "models", "settings")
 
 
 def _canonical(data):
@@ -163,28 +163,24 @@ def _model_data(model):
 
 
 def _question_from(q, schema):
-    if not (isinstance(q, list) and len(q) == 3
-            and isinstance(q[1], str) and q[1] in dtm.QUESTION_KINDS
-            and _is_int(q[0]) and 0 <= q[0] < len(schema.slots)
+    """Question `q`, which must be one that `dtm.QUESTIONS` lets training
+    ask of its slot."""
+    if not (isinstance(q, list) and len(q) == 3 and _is_int(q[0])
+            and 0 <= q[0] < len(schema.slots) and isinstance(q[1], str)
             and _is_int(q[2])):
         raise ModelFileError(
             f"{schema.kind} model has an invalid question {q!r}: expected "
-            f"[slot below {len(schema.slots)}, one of "
-            f"{'/'.join(dtm.QUESTION_KINDS)}, int]")
+            f"[slot below {len(schema.slots)}, question kind, int]")
     slot, kind, arg = q
     vkind = schema.slots[slot][1]
-    # Training asks bits below a class tree's depth, thresholds of numbers.
-    if vkind in dtm.CATEGORICAL_KINDS:
-        depth = schema.encoders[vkind].depth
-        if kind == "le" or kind == "bit" and not 0 <= arg < depth:
-            raise ModelFileError(
-                f"{schema.kind} model has an invalid question {q!r}: a "
-                f"{vkind} slot takes isnull, or a bit below its class tree's "
-                f"depth {depth}")
-    elif kind == "bit":
+    asks = dtm.QUESTIONS[vkind]
+    tree = schema.encoders.get(vkind)
+    if kind not in asks or arg not in asks[kind][0](tree):
+        takes = ", or ".join(text.format(tree=tree) for _, text
+                             in asks.values())
         raise ModelFileError(f"{schema.kind} model has an invalid question "
-                             f"{q!r}: a {vkind} slot takes isnull or le")
-    return dtm.Question(slot=slot, kind=kind, arg=arg)
+                             f"{q!r}: a {vkind} slot takes {takes}")
+    return dtm.Question(slot, kind, arg)
 
 
 def _model_from(data, schema):
@@ -229,22 +225,10 @@ def _model_from(data, schema):
         raise ModelFileError(f"{what}: {exc}") from exc
 
 
-def save_model_set(model_set, config, path):
-    sections = {
-        "vocabularies": _vocab_data(model_set.vocab),
-        "class_trees": {kind: _classtree_data(tree)
-                        for kind, tree in model_set.class_trees.items()},
-        "head_rules": _head_rules_data(model_set.heads),
-        "models": {kind: _model_data(model)
-                   for kind, model in model_set.models.items()},
-        "settings": {
-            "u_max": model_set.u_max,
-            "schema_version": SCHEMA_VERSION,
-            "config": {k: repr(v) for k, v in config.as_dict().items()},
-        },
-    }
+def _write(path, magic, sections):
+    """Write `sections`, each sealed with its checksum, as a `magic` file."""
     envelope = {
-        "magic": MAGIC,
+        "magic": magic,
         "version": FORMAT_VERSION,
         "sections": {name: {"sha256": _checksum(data), "data": data}
                      for name, data in sections.items()},
@@ -254,75 +238,82 @@ def save_model_set(model_set, config, path):
         fh.write("\n")
 
 
-def _read_json(path, magic, what):
+def _read(path, magic, what, required):
+    """The data of every section of `magic` file `path`, each matching its
+    checksum; the sections named in `required` must be among them."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        envelope = json.loads(read_text(path))
+    except ValueError as exc:
         raise ModelFileError(f"{path}: not a {what}: {exc}") from exc
-    if not isinstance(data, dict) or data.get("magic") != magic:
+    if not isinstance(envelope, dict) or envelope.get("magic") != magic:
         raise ModelFileError(f"{path}: bad magic; not a {what}")
-    if data.get("version") != FORMAT_VERSION:
+    if envelope.get("version") != FORMAT_VERSION:
         raise ModelFileError(
-            f"{path}: format version {data.get('version')!r} unsupported "
+            f"{path}: format version {envelope.get('version')!r} unsupported "
             f"(expected {FORMAT_VERSION})")
-    return data
+    sections = {}
+    for name, wrapped in _field(envelope, "sections", dict, path).items():
+        data = _field(wrapped, "data", object, f"{path}: section {name!r}")
+        if _checksum(data) != wrapped.get("sha256"):
+            raise ModelFileError(
+                f"{path}: section {name!r} fails its checksum")
+        sections[name] = data
+    for name in required:
+        if name not in sections:
+            raise ModelFileError(f"{path}: section {name!r} missing")
+    return sections
 
 
-def save_classes(vocab, class_trees, path):
-    """Write vocabularies plus class trees alone (the `classes` artifact)."""
-    data = {
-        "magic": CLASSES_MAGIC,
-        "version": FORMAT_VERSION,
-        "vocabularies": _vocab_data(vocab),
-        "class_trees": {kind: _classtree_data(tree)
-                        for kind, tree in class_trees.items()},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True)
-        fh.write("\n")
+def _classes_data(vocab, class_trees):
+    return {"vocabularies": _vocab_data(vocab),
+            "class_trees": {kind: _classtree_data(tree)
+                            for kind, tree in class_trees.items()}}
 
 
-def _class_trees_from(data, vocab, what):
-    """A class tree of every categorical kind, each checked, and each
-    giving every symbol of its vocabulary its own code."""
-    class_trees = {kind: _classtree_from(_field(data, kind, object, what))
-                   for kind in dtm.CATEGORICAL_KINDS}
-    for kind, symbols in (("word", vocab.words), ("tag", vocab.tags),
-                          ("label", vocab.labels + [derivation.TAG_LABEL]),
-                          ("extension", derivation.EXTENSIONS)):
-        codes = class_trees[kind].codes
+def _classes_from(sections, path):
+    """The vocabularies and a class tree of every categorical kind, each
+    checked, and each giving every symbol `models.class_symbols` lists
+    its own code."""
+    vocab = _vocab_from(sections["vocabularies"])
+    what = f"{path}: class trees"
+    class_trees = {}
+    for kind, symbols in class_symbols(vocab).items():
+        tree = class_trees[kind] = _classtree_from(
+            _field(sections["class_trees"], kind, object, what))
+        codes = tree.codes
         for symbol in symbols:
             if symbol not in codes:  # membership, not the fallback lookup
                 raise ModelFileError(
                     f"{what}: the {kind} class tree has no code for "
                     f"{symbol!r}")
-    return class_trees
-
-
-def load_classes(path):
-    data = _read_json(path, CLASSES_MAGIC, "classes file")
-    vocab = _vocab_from(_field(data, "vocabularies", object, path))
-    class_trees = _class_trees_from(
-        _field(data, "class_trees", object, path), vocab,
-        f"{path}: class trees")
     return vocab, class_trees
 
 
+def save_classes(vocab, class_trees, path):
+    _write(path, CLASSES_MAGIC, _classes_data(vocab, class_trees))
+
+
+def load_classes(path):
+    return _classes_from(
+        _read(path, CLASSES_MAGIC, "classes file", CLASSES_SECTIONS), path)
+
+
+def save_model_set(model_set, config, path):
+    _write(path, MAGIC, {
+        **_classes_data(model_set.vocab, model_set.class_trees),
+        "head_rules": _head_rules_data(model_set.heads),
+        "models": {kind: _model_data(model)
+                   for kind, model in model_set.models.items()},
+        "settings": {
+            "u_max": model_set.u_max,
+            "schema_version": SCHEMA_VERSION,
+            "config": {k: repr(v) for k, v in config.as_dict().items()},
+        },
+    })
+
+
 def load_model_set(path):
-    envelope = _read_json(path, MAGIC, "model file")
-
-    sections = {}
-    for name, wrapped in _field(envelope, "sections", dict, path).items():
-        data = _field(wrapped, "data", object, f"{path}: section {name!r}")
-        if _checksum(data) != wrapped.get("sha256"):
-            raise ModelFileError(f"{path}: section {name!r} fails its checksum")
-        sections[name] = data
-    for required in ("vocabularies", "class_trees", "head_rules", "models",
-                     "settings"):
-        if required not in sections:
-            raise ModelFileError(f"{path}: section {required!r} missing")
-
+    sections = _read(path, MAGIC, "model file", MODEL_SECTIONS)
     settings = sections["settings"]
     version = _field(settings, "schema_version", object, f"{path}: settings")
     if version != SCHEMA_VERSION:
@@ -334,9 +325,7 @@ def load_model_set(path):
         raise ModelFileError(f"{path}: settings field 'u_max' is {u_max}, "
                              f"below 0")
 
-    vocab = _vocab_from(sections["vocabularies"])
-    class_trees = _class_trees_from(sections["class_trees"], vocab,
-                                    f"{path}: class trees")
+    vocab, class_trees = _classes_from(sections, path)
     heads = _head_rules_from(sections["head_rules"])
     models = {kind: _model_from(
         _field(sections["models"], kind, object, f"{path}: models"),

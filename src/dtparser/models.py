@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from . import classtree, derivation, dtm
 from .corpus import (UNK, RawLeaf, build_vocabularies, internal_nodes,
-                     leaves, sentence_tags, sentence_words)
+                     sentence_tags, sentence_words)
 from .errors import DTParserError, IllegalAction
 from .headfinder import default_head_rules
 
@@ -83,35 +83,37 @@ def make_schema(kind, vocab, class_trees):
                            encoders=class_trees, futures=futures)
 
 
+def class_symbols(vocab):
+    """The symbols each class tree must give a code, by value kind."""
+    return {"word": vocab.words, "tag": vocab.tags,
+            "label": vocab.labels + [derivation.TAG_LABEL],
+            "extension": derivation.EXTENSIONS}
+
+
 def build_class_trees(trees, vocab, config):
     """Word, tag, label and extension class trees from training bigrams."""
-    word_bigrams = Counter()
-    tag_bigrams = Counter()
-    label_bigrams = Counter()
+    bigrams = {"word": Counter(), "tag": Counter(), "label": Counter()}
     for tree in trees:
-        words = [vocab.word_symbol(leaf.word) for leaf in leaves(tree)]
-        for a, b in zip(words, words[1:]):
-            word_bigrams[a, b] += 1
-        tags = sentence_tags(tree)
-        for a, b in zip(tags, tags[1:]):
-            tag_bigrams[a, b] += 1
-        for node in internal_nodes(tree):
-            symbols = [derivation.TAG_LABEL if isinstance(child, RawLeaf)
-                       else child.label for child in node.children]
-            for a, b in zip(symbols, symbols[1:]):
-                label_bigrams[a, b] += 1
+        runs = [("word", [vocab.word_symbol(w) for w in sentence_words(tree)]),
+                ("tag", sentence_tags(tree))]
+        runs += [("label", [derivation.TAG_LABEL if isinstance(child, RawLeaf)
+                            else child.label for child in node.children])
+                 for node in internal_nodes(tree)]
+        for kind, run in runs:
+            bigrams[kind].update(zip(run, run[1:]))
     window = config.cluster_window
+    symbols = class_symbols(vocab)
     return {
         "word": classtree.build_class_tree(
-            vocab.words, word_bigrams, config.word_bits, window=window,
-            fallback=UNK),
+            symbols["word"], bigrams["word"], config.word_bits,
+            window=window, fallback=UNK),
         "tag": classtree.build_class_tree(
-            vocab.tags, tag_bigrams, config.tag_bits, window=window),
+            symbols["tag"], bigrams["tag"], config.tag_bits, window=window),
         "label": classtree.build_class_tree(
-            vocab.labels + [derivation.TAG_LABEL], label_bigrams,
-            config.label_bits, window=window),
+            symbols["label"], bigrams["label"], config.label_bits,
+            window=window),
         "extension": classtree.fixed_class_tree(
-            derivation.EXTENSIONS, config.extension_bits),
+            symbols["extension"], config.extension_bits),
     }
 
 

@@ -137,10 +137,8 @@ def _expand(model_set, hyp, bound=None):
 
 
 def _result(best, status, expanded):
-    if best.hyp is None:
-        return SearchResult(tree=None, logprob=-math.inf, status=status,
-                            expanded=expanded)
-    tree = derivation.to_raw_tree(best.hyp.state.stack[0])
+    tree = (None if best.hyp is None
+            else derivation.to_raw_tree(best.hyp.state.stack[0]))
     return SearchResult(tree=tree, logprob=best.logprob, status=status,
                         expanded=expanded)
 
@@ -205,9 +203,8 @@ def parse(model_set, words, config):
             return _memory_fallback(model_set, [entry[2] for entry in heap],
                                     best, expanded)
 
-    if best.hyp is None:
-        return _result(best, STATUS_NO_PARSE, expanded)
-    return _result(best, STATUS_OPTIMAL, expanded)
+    return _result(best, STATUS_NO_PARSE if best.hyp is None
+                   else STATUS_OPTIMAL, expanded)
 
 
 _MAX_ROLLOUTS = 64
@@ -267,6 +264,5 @@ def exhaustive_parse(model_set, words, budget=5_000_000):
             descend(succ)
 
     descend(start)
-    if best.hyp is None:
-        return _result(best, STATUS_NO_PARSE, expanded)
-    return _result(best, STATUS_OPTIMAL, expanded)
+    return _result(best, STATUS_NO_PARSE if best.hyp is None
+                   else STATUS_OPTIMAL, expanded)

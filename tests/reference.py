@@ -7,7 +7,7 @@ build fixtures with them.
 
 import numpy as np
 
-from dtparser.classtree import _mi_terms
+from dtparser.classtree import _loss_context, _merge_loss_row, _mi_terms
 from dtparser.derivation import (KIND_LABEL, KIND_TAG, TAG_LABEL, _pending,
                                  apply_action, initial_state, to_raw_tree)
 from dtparser.dtm import DTNode, FlatTree, _entropy_bits
@@ -96,6 +96,26 @@ def decode(words, events, ctx):
     if not state.complete:
         raise IllegalAction("event sequence does not complete a tree")
     return to_raw_tree(state.stack[0])
+
+
+def merge_losses(m):
+    """Loss of average MI for merging every class pair of count matrix `m`.
+
+    Returns a k x k array; entry (a, b) with a < b is the MI drop from
+    merging classes a and b.  Other entries are +inf.  This recomputes
+    everything at O(k^3), row by row with `classtree._merge_loss_row`;
+    `classtree.build_class_tree` keeps the losses up to date instead.
+    """
+    k = m.shape[0]
+    losses = np.full((k, k), np.inf)
+    if m.sum() == 0:
+        iu = np.triu_indices(k, 1)
+        losses[iu] = 0.0
+        return losses
+    context = _loss_context(m)
+    for a in range(k - 1):
+        losses[a, a + 1:] = _merge_loss_row(m, a, context)
+    return losses
 
 
 def average_mutual_information(matrix):

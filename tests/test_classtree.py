@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtparser.classtree import (ClassTree, _Merge, _MergeLosses, _finish,
-                                _merge_losses, build_class_tree,
-                                fixed_class_tree)
+                                build_class_tree, fixed_class_tree)
 from dtparser.dtm import ModelSchema, Question
-from dtparser.errors import EmptyVocabulary, UnknownId
+from dtparser.errors import BadSetting, EmptyVocabulary, UnknownId
 
-from reference import average_mutual_information
+from reference import average_mutual_information, merge_losses
 
 
 def test_bitstring_bits_and_text():
@@ -56,7 +55,7 @@ def test_fixed_class_tree_uses_index_bits():
 
 
 def test_fixed_class_tree_capacity():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadSetting, match="budget of 1 bits"):
         fixed_class_tree(["a", "b", "c"], 1)
     with pytest.raises(EmptyVocabulary):
         fixed_class_tree([], 3)
@@ -77,7 +76,7 @@ def test_merge_losses_match_direct_ami_difference():
     rng = random.Random(3)
     m = np.array([[rng.randrange(6) for _ in range(4)] for _ in range(4)],
                  dtype=float)
-    losses = _merge_losses(m)
+    losses = merge_losses(m)
     for a in range(4):
         for b in range(a + 1, 4):
             merged = m.copy()
@@ -99,7 +98,7 @@ def _count_lists(data, k):
 
 def _assert_tracks_the_oracle(losses, reference):
     assert np.array_equal(losses.m, reference)
-    oracle = _merge_losses(reference)
+    oracle = merge_losses(reference)
     incremental = losses.losses()
     assert np.array_equal(np.isinf(incremental), np.isinf(oracle))
     finite = np.isfinite(oracle)
@@ -152,7 +151,7 @@ def test_exact_ties_break_like_the_oracle(data):
 def test_zero_total_picks_the_first_pair():
     losses = _MergeLosses(np.zeros((3, 3)))
     assert losses.best() == (0, 1)
-    assert np.array_equal(losses.losses(), _merge_losses(np.zeros((3, 3))))
+    assert np.array_equal(losses.losses(), merge_losses(np.zeros((3, 3))))
 
 
 # --- greedy agglomerative growing ---
@@ -292,7 +291,7 @@ def test_export_text():
 
 def _reference_tree(symbols, bigrams, budget, window):
     """Greedy growing with every count matrix rebuilt from the bigrams and
-    every loss recomputed by `_merge_losses`."""
+    every loss recomputed by `merge_losses`."""
     index = {sym: i for i, sym in enumerate(symbols)}
     full = np.zeros((len(symbols), len(symbols)))
     for (a, b), count in bigrams.items():
@@ -306,7 +305,7 @@ def _reference_tree(symbols, bigrams, budget, window):
     while len(active) > 1:
         matrix = np.array([[full[np.ix_(a, b)].sum() for b in active]
                            for a in active])
-        losses = _merge_losses(matrix)
+        losses = merge_losses(matrix)
         a, b = np.unravel_index(int(np.argmin(losses)), losses.shape)
         merges.append((frozenset(symbols[i] for i in active[a]),
                        frozenset(symbols[i] for i in active[b])))

@@ -329,6 +329,7 @@ def test_parse_exits_2_at_a_line_that_is_not_utf8(model_path, tmp_path,
     assert len(lines) == 1 and lines[0].endswith("\toptimal")
     assert "dtparser parse: error:" in captured.err
     assert "utf-8" in captured.err and "Traceback" not in captured.err
+    assert f"{tmp_path / 'in.txt'}:2: " in captured.err
 
 
 # --- eval / report ---
@@ -454,7 +455,10 @@ def test_train_exits_2_on_a_treebank_that_is_not_utf8(workdir, tmp_path,
                          + b"(S (NP \xff_NNP) (VP runs_VBZ))\n")
     assert cli.main(["train", str(treebank), "-o", str(tmp_path / "m")]
                     + _flags(workdir)) == cli.EXIT_DATA
-    assert "dtparser train: error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "dtparser train: error:" in err
+    lines = (workdir / "toy.mrg").read_text().count("\n")
+    assert f"{treebank}:{lines + 1}: not utf-8" in err
     assert not (tmp_path / "m").exists()
 
 
@@ -464,7 +468,24 @@ def test_config_file_that_is_not_utf8_exits_2(workdir, tmp_path, capsys):
     assert cli.main(["train", str(workdir / "toy.mrg"), "-o",
                      str(tmp_path / "m"), "--config", str(conf)]) == \
         cli.EXIT_DATA
-    assert "dtparser train: error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "dtparser train: error:" in err
+    assert f"{conf}:2: not utf-8" in err
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("format=xml", "unknown treebank format 'xml'"),
+    ("extension_bits=2", "5 symbols do not fit in a budget of 2 bits"),
+], ids=["format", "extension-bits"])
+def test_config_value_that_training_rejects_exits_2(workdir, tmp_path, capsys,
+                                                    setting, message):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(CONFIG_TEXT + setting + "\n")
+    assert cli.main(["train", str(workdir / "toy.mrg"), "-o",
+                     str(tmp_path / "m"), "--config", str(conf)]) == \
+        cli.EXIT_DATA
+    assert f"dtparser train: error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_renormalize_is_an_unknown_setting(workdir, tmp_path, capsys):

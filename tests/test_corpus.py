@@ -14,7 +14,7 @@ from dtparser.corpus import (FORMATS, UNK, RawLeaf, RawTree,
                              leaves, parse_tree, parse_trees, postorder,
                              read_treebank, sentence_tags, sentence_words,
                              split_corpus, write_treebank)
-from dtparser.errors import (EmptyConstituent, EmptyCorpus,
+from dtparser.errors import (BadSetting, EmptyConstituent, EmptyCorpus,
                              FractionOutOfRange, MissingTag,
                              UnbalancedBrackets)
 
@@ -98,7 +98,7 @@ def test_empty_constituent():
 
 
 def test_unknown_format_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadSetting, match="'latex'"):
         parse_trees("(X a_T)", fmt="latex")
 
 

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from dtparser.classtree import fixed_class_tree
 from dtparser.config import Config
 from dtparser.derivation import DerivationEvent
-from dtparser.dtm import (DTNode, FlatTree, ModelSchema, Question,
-                          SmoothedModel, _entropy_bits, grow, interpolate,
-                          iter_nodes, smooth, walk)
+from dtparser.dtm import (SIZE_THRESHOLDS, DTNode, FlatTree, ModelSchema,
+                          Question, SmoothedModel, _entropy_bits, grow,
+                          interpolate, iter_nodes, smooth, walk)
 from dtparser.errors import NoEvents, SlotLayoutMismatch
 
 from reference import as_forced_order_tree, reference_grow
@@ -237,6 +237,15 @@ def test_grown_nodes_questions_and_counts():
         (0, Question(0, "le", 1), [4, 4]),
         (1, None, [4, 0]),
         (2, None, [0, 4])]
+
+
+def test_questions_come_in_the_canonical_order():
+    schema = ModelSchema("tag", (("A", "count"), ("B", "tag")),
+                         {"tag": fixed_class_tree(["a", "b", "c"], 3)}, ("x",))
+    assert schema.questions() == [
+        Question(0, "isnull"),
+        *(Question(0, "le", t) for t in SIZE_THRESHOLDS),
+        Question(1, "isnull"), Question(1, "bit", 0), Question(1, "bit", 1)]
 
 
 def test_histories_encode_column_by_column():

@@ -160,6 +160,24 @@ def _rewrite(saved, tmp_path, mutate):
     return path
 
 
+def _resealed_all(saved, tmp_path, mutate):
+    """The saved file with `mutate` applied to its sections' data, by name,
+    and every checksum recomputed, so only the content checks can object."""
+    def reseal(envelope):
+        data = {name: wrapped["data"]
+                for name, wrapped in envelope["sections"].items()}
+        mutate(data)
+        envelope["sections"] = {
+            name: {"sha256": modelfile._checksum(value), "data": value}
+            for name, value in data.items()}
+    return _rewrite(saved, tmp_path, reseal)
+
+
+def _resealed(saved, tmp_path, section, mutate):
+    """The saved file with `mutate` applied to one section's data, resealed."""
+    return _resealed_all(saved, tmp_path, lambda data: mutate(data[section]))
+
+
 def test_tampered_section_fails_its_checksum(saved, tmp_path):
     def mutate(envelope):
         envelope["sections"]["settings"]["data"]["u_max"] += 1
@@ -201,14 +219,10 @@ def test_other_schema_version_is_rejected(toy_model_set, saved, tmp_path,
 
     (tmp_path / "in.txt").write_text("the dog runs\n")
     for version, retire in ((1, version_1), (2, version_2)):
-        def mutate(envelope):
-            sections = envelope["sections"]
-            settings = sections["settings"]["data"]
-            retire(settings, sections["models"]["data"])
-            settings["schema_version"] = version
-            for wrapped in sections.values():
-                wrapped["sha256"] = modelfile._checksum(wrapped["data"])
-        path = _rewrite(saved, tmp_path, mutate)
+        def mutate(sections):
+            retire(sections["settings"], sections["models"])
+            sections["settings"]["schema_version"] = version
+        path = _resealed_all(saved, tmp_path, mutate)
         with pytest.raises(ModelFileError, match=f"schema version {version}"):
             modelfile.load_model_set(path)
         assert cli.main(["parse", str(path), str(tmp_path / "in.txt")]) == \
@@ -231,10 +245,23 @@ def test_non_json_is_rejected(tmp_path):
         modelfile.load_model_set(path)
 
 
-def test_classes_file_round_trip(toy_model_set, tmp_path):
-    path = tmp_path / "toy.classes"
-    modelfile.save_classes(toy_model_set.vocab, toy_model_set.class_trees, path)
-    vocab, class_trees = modelfile.load_classes(path)
+@pytest.fixture(scope="module")
+def classes_saved(toy_model_set, tmp_path_factory):
+    path = tmp_path_factory.mktemp("classes") / "toy.classes"
+    modelfile.save_classes(toy_model_set.vocab, toy_model_set.class_trees,
+                           path)
+    return path
+
+
+def _train_with_classes(toy_treebank, tmp_path, classes):
+    """The exit code of `train --classes` with classes file `classes`."""
+    write_treebank(toy_treebank, tmp_path / "toy.mrg")
+    return cli.main(["train", str(tmp_path / "toy.mrg"), "-o",
+                     str(tmp_path / "toy.model"), "--classes", str(classes)])
+
+
+def test_classes_file_round_trip(toy_model_set, classes_saved):
+    vocab, class_trees = modelfile.load_classes(classes_saved)
     assert vocab == toy_model_set.vocab
     assert set(class_trees) == set(toy_model_set.class_trees)
     for kind, tree in toy_model_set.class_trees.items():
@@ -246,6 +273,32 @@ def test_classes_file_rejects_model_magic(saved):
         modelfile.load_classes(saved)
 
 
+def test_classes_file_edited_without_resealing_exits_2(
+        toy_treebank, classes_saved, tmp_path, capsys):
+    def swap(envelope):
+        codes = envelope["sections"]["class_trees"]["data"]["word"]["codes"]
+        assert codes["a"] != codes["ball"]
+        codes["a"], codes["ball"] = codes["ball"], codes["a"]
+    path = _rewrite(classes_saved, tmp_path, swap)
+    with pytest.raises(ModelFileError, match="'class_trees' fails its"):
+        modelfile.load_classes(path)
+    assert _train_with_classes(toy_treebank, tmp_path, path) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "section 'class_trees' fails its checksum" in err
+
+
+def test_old_format_classes_file_exits_2(toy_treebank, classes_saved,
+                                         tmp_path, capsys):
+    """The format before classes files shared the model file's envelope
+    kept the two sections' data at the top level, unsealed."""
+    def unwrap(envelope):
+        for name, wrapped in envelope.pop("sections").items():
+            envelope[name] = wrapped["data"]
+    path = _rewrite(classes_saved, tmp_path, unwrap)
+    assert _train_with_classes(toy_treebank, tmp_path, path) == cli.EXIT_DATA
+    assert "lacks its 'sections' field" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: d.pop("vocabularies"),
     lambda d: d["vocabularies"].update(words=3),
@@ -254,40 +307,20 @@ def test_classes_file_rejects_model_magic(saved):
 ], ids=["missing-vocabularies", "int-words", "missing-extension-tree",
         "tag-tree-missing-a-tag"])
 def test_broken_classes_file_exits_with_a_data_error(toy_treebank,
-                                                     toy_model_set, tmp_path,
+                                                     classes_saved, tmp_path,
                                                      capsys, mutate):
-    path = tmp_path / "toy.classes"
-    modelfile.save_classes(toy_model_set.vocab, toy_model_set.class_trees, path)
-    data = json.loads(path.read_text())
-    mutate(data)
-    path.write_text(json.dumps(data))
+    path = _resealed_all(classes_saved, tmp_path, mutate)
     with pytest.raises(ModelFileError):
         modelfile.load_classes(path)
-    write_treebank(toy_treebank, tmp_path / "toy.mrg")
-    assert cli.main(["train", str(tmp_path / "toy.mrg"), "-o",
-                     str(tmp_path / "toy.model"), "--classes", str(path)]) \
-        == cli.EXIT_DATA
+    assert _train_with_classes(toy_treebank, tmp_path, path) == cli.EXIT_DATA
     assert "dtparser train: error:" in capsys.readouterr().err
 
 
-def test_classes_file_rejects_codes_beyond_the_depth(toy_model_set, tmp_path):
-    path = tmp_path / "toy.classes"
-    modelfile.save_classes(toy_model_set.vocab, toy_model_set.class_trees, path)
-    data = json.loads(path.read_text())
-    data["class_trees"]["tag"]["depth"] -= 1
-    path.write_text(json.dumps(data))
+def test_classes_file_rejects_codes_beyond_the_depth(classes_saved, tmp_path):
+    path = _resealed(classes_saved, tmp_path, "class_trees",
+                     lambda d: d["tag"].update(depth=d["tag"]["depth"] - 1))
     with pytest.raises(ModelFileError, match="depth"):
         modelfile.load_classes(path)
-
-
-def _resealed(saved, tmp_path, section, mutate):
-    """The saved model with `mutate` applied to one section's data and that
-    section's checksum recomputed, so only the content checks can object."""
-    def reseal(envelope):
-        wrapped = envelope["sections"][section]
-        mutate(wrapped["data"])
-        wrapped["sha256"] = modelfile._checksum(wrapped["data"])
-    return _rewrite(saved, tmp_path, reseal)
 
 
 @pytest.mark.parametrize("section, mutate, message", [
@@ -414,9 +447,13 @@ CUR_COUNT_SLOT = 4  # the current node's child count, a numeric slot
     lambda d: _first_question(d, "tag", 1, "le", asks="bit"),
     lambda d: _first_question(d, "tag", 0, CUR_COUNT_SLOT, asks="bit"),
     lambda d: _first_question(d, "tag", 1, ["bit"]),
+    lambda d: _first_question(d, "tag", slice(None), [0, "isnull", 7]),
+    lambda d: _first_question(d, "tag", slice(None),
+                              [CUR_COUNT_SLOT, "le", 5]),
 ], ids=["unknown-kind", "slot-999", "negative-slot", "string-slot",
         "string-arg", "bool-arg", "bit-beyond-depth", "negative-bit",
-        "categorical-threshold", "numeric-bit", "list-kind"])
+        "categorical-threshold", "numeric-bit", "list-kind",
+        "isnull-argument", "threshold-not-asked"])
 def test_malformed_question_is_rejected(saved, tmp_path, mutate):
     path = _resealed(saved, tmp_path, "models", mutate)
     with pytest.raises(ModelFileError, match="invalid question"):
@@ -538,38 +575,74 @@ _QUESTIONS = st.one_of(
               st.integers(-1, 40)).map(list))
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_a_mutated_models_section_loads_or_exits_with_a_data_error(
-        saved, tmp_path_factory, data):
-    """Drop or alter one count, lambda, question or node of a model and
-    reseal the section: `parse` then either works or exits 2, never 3."""
-    envelope = json.loads(saved.read_text())
-    section = envelope["sections"]["models"]
-    model = section["data"][data.draw(st.sampled_from(derivation.KINDS))]
+def _mutate_anywhere(data, draw):
+    """Drop or alter one value at a drawn place inside JSON object `data`."""
+    node = data
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        inner = node[key]
+        if not (isinstance(inner, (dict, list)) and inner
+                and draw(st.booleans())):
+            break
+        node = inner
+    if draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(_VALUES)
+
+
+def _mutate_models(models, draw):
+    """Drop or alter one count, lambda, question or node of a model."""
+    model = models[draw(st.sampled_from(derivation.KINDS))]
     nodes = model["nodes"]
-    at = data.draw(st.integers(0, len(nodes) - 1))
-    drop = data.draw(st.booleans())
-    part = data.draw(st.sampled_from(["count", "lambda", "question", "node"]))
+    at = draw(st.integers(0, len(nodes) - 1))
+    drop = draw(st.booleans())
+    part = draw(st.sampled_from(["count", "lambda", "question", "node"]))
     if part in ("count", "lambda"):
         table = nodes[at]["counts"] if part == "count" else model["lambdas"]
-        key = data.draw(st.sampled_from(sorted(table)))
+        key = draw(st.sampled_from(sorted(table)))
         if drop:
             del table[key]
         else:
-            table[key] = data.draw(_VALUES)
+            table[key] = draw(_VALUES)
     elif part == "question":
-        nodes[at]["q"] = data.draw(_QUESTIONS)
+        nodes[at]["q"] = draw(_QUESTIONS)
     elif drop:
         del nodes[at]
     else:
-        nodes.insert(at, dict(nodes[data.draw(st.integers(0, len(nodes) - 1))]))
-    section["sha256"] = modelfile._checksum(section["data"])
+        nodes.insert(at, dict(nodes[draw(st.integers(0, len(nodes) - 1))]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_a_mutated_section_loads_or_exits_with_a_data_error(
+        saved, tmp_path_factory, data):
+    """Alter one section of a model file, a model's counts, lambdas,
+    questions or nodes or any value of another section, and reseal it:
+    `parse` then either works or exits 2, never 3."""
+    section = data.draw(st.sampled_from(modelfile.MODEL_SECTIONS))
+    mutate = _mutate_models if section == "models" else _mutate_anywhere
     root = tmp_path_factory.mktemp("mutated")
+    path = _resealed(saved, root, section,
+                     lambda value: mutate(value, data.draw))
     (root / "in.txt").write_text("the dog sees rex\nrex runs\n")
-    (root / "mutated.model").write_text(json.dumps(envelope))
-    code = cli.main(["parse", str(root / "mutated.model"),
-                     str(root / "in.txt"), "-o", str(root / "out.txt")])
+    code = cli.main(["parse", str(path), str(root / "in.txt"),
+                     "-o", str(root / "out.txt")])
     assert code in (cli.EXIT_OK, cli.EXIT_DATA)
     if code == cli.EXIT_OK:
         assert len((root / "out.txt").read_text().splitlines()) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_mutated_classes_file_trains_or_exits_with_a_data_error(
+        toy_treebank, classes_saved, tmp_path_factory, data):
+    """Alter any value of a classes file's section and reseal it: `train
+    --classes` then either works or exits 2, never 3."""
+    section = data.draw(st.sampled_from(modelfile.CLASSES_SECTIONS))
+    root = tmp_path_factory.mktemp("mutated")
+    path = _resealed(classes_saved, root, section,
+                     lambda value: _mutate_anywhere(value, data.draw))
+    assert _train_with_classes(toy_treebank[:10], root, path) in (
+        cli.EXIT_OK, cli.EXIT_DATA)
