@@ -24,7 +24,7 @@ recomputing all losses with it would give.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,14 +52,13 @@ class _Codes(dict):
 
 @dataclass
 class ClassTree:
-    """Symbol -> int code table plus the merge history that built it."""
+    """Symbol -> int code table of a class hierarchy."""
 
     codes: dict
     budget: int
     depth: int
     truncated: bool
     fallback: str = None       # symbol substituted for out-of-vocabulary lookups
-    merges: list = field(default_factory=list)  # [(frozenset, frozenset), ...]
 
     def __post_init__(self):
         self.codes = _Codes(self.codes, self.fallback)
@@ -70,49 +69,6 @@ class ClassTree:
         return "\n".join(
             sym + "\t" + "".join(str(code >> b & 1) for b in range(self.budget))
             for sym, code in sorted(self.codes.items())) + "\n"
-
-
-class _Merge:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-
-def _assign_codes(tree, budget):
-    """Walk the merge hierarchy; the first merge operand branches to 0."""
-    codes = {}
-    depth = 0
-    truncated = False
-    stack = [(tree, 0, 0)]  # (node, bits, depth)
-    while stack:
-        node, bits, d = stack.pop()
-        if isinstance(node, _Merge):
-            if d >= budget:
-                truncated = True
-                stack.append((node.left, bits, d))
-                stack.append((node.right, bits, d))
-            else:
-                stack.append((node.left, bits, d + 1))
-                stack.append((node.right, bits | (1 << d), d + 1))
-        else:
-            codes[node] = bits
-            depth = max(depth, d)
-    return codes, depth, truncated
-
-
-def _finish(tree, symbols, budget, fallback, merges):
-    raw, depth, truncated = _assign_codes(tree, budget)
-    if truncated:
-        log.warning("class tree depth exceeds %d bits; codes truncated "
-                    "and may collide", budget)
-    codes = {sym: raw[sym] for sym in symbols}
-    if not truncated:
-        assert len(set(codes.values())) == len(codes), \
-            "untruncated class-tree codes must be injective"
-    return ClassTree(codes=codes, budget=budget, depth=depth,
-                     truncated=truncated, fallback=fallback, merges=merges)
 
 
 def fixed_class_tree(symbols, budget):
@@ -126,8 +82,7 @@ def fixed_class_tree(symbols, budget):
                          f"{budget} bits")
     codes = {sym: i for i, sym in enumerate(symbols)}
     depth = max(1, (len(symbols) - 1).bit_length())
-    return ClassTree(codes=codes, budget=budget, depth=depth, truncated=False,
-                     fallback=None, merges=[])
+    return ClassTree(codes=codes, budget=budget, depth=depth, truncated=False)
 
 
 def _mi_terms(m, row_mass, col_mass, total):
@@ -296,6 +251,43 @@ class _MergeLosses:
         return best[1], best[2]
 
 
+def _greedy_merges(symbols, bigrams, window):
+    """The greedy merges over `symbols`, in order, as (a, b) pairs of
+    class names: class b folds into class a, and a class is named by the
+    first symbol admitted into it."""
+    index = {sym: i for i, sym in enumerate(symbols)}
+    full = np.zeros((len(symbols), len(symbols)), dtype=float)
+    for (a, b), count in bigrams.items():
+        full[index[a], index[b]] += count
+
+    mass = full.sum(axis=1) + full.sum(axis=0)
+    order = sorted(range(len(symbols)), key=lambda i: (-mass[i], symbols[i]))
+    admitted = np.array(order[:max(2, window)])  # symbol indices
+    owner = np.arange(len(admitted))  # active class of each admitted symbol
+    names = [symbols[i] for i in admitted]  # of the active classes
+    losses = _MergeLosses(full[np.ix_(admitted, admitted)])
+
+    merges = []
+    while len(names) > 1:
+        a, b = losses.best()
+        merges.append((names[a], names.pop(b)))
+        owner[owner == b] = a
+        owner[owner > b] -= 1
+        losses.merge(a, b)
+        if len(admitted) < len(order):
+            # Counts are integers, so summing them per class is exact.
+            new = order[len(admitted)]
+            k = len(names)
+            losses.admit(
+                np.bincount(owner, weights=full[new, admitted], minlength=k),
+                np.bincount(owner, weights=full[admitted, new], minlength=k),
+                full[new, new])
+            names.append(symbols[new])
+            admitted = np.append(admitted, new)
+            owner = np.append(owner, k)
+    return merges
+
+
 def build_class_tree(symbols, bigrams, budget, window=256, fallback=None):
     """Grow a class tree over `symbols` from adjacent-pair counts.
 
@@ -311,44 +303,35 @@ def build_class_tree(symbols, bigrams, budget, window=256, fallback=None):
             (usually the unknown-word symbol), or None to make that an error.
 
     Ties in merge loss break toward the earliest pair in admission order,
-    so reruns are byte-identical.
+    so reruns are byte-identical.  The codes are read off the merges by
+    undoing them from the last: the last merge's class starts at code 0,
+    depth 0, and each merge (a, b) gives a the next bit 0 and b the next
+    bit 1, until the depth reaches the budget and the codes truncate.
     """
     symbols = list(symbols)
     if not symbols:
         raise EmptyVocabulary("cannot build a class tree over nothing")
     if fallback is not None and fallback not in symbols:
         raise UnknownId(f"fallback symbol {fallback!r} not in vocabulary")
-    index = {sym: i for i, sym in enumerate(symbols)}
-    full = np.zeros((len(symbols), len(symbols)), dtype=float)
-    for (a, b), count in bigrams.items():
-        full[index[a], index[b]] += count
-
-    mass = full.sum(axis=1) + full.sum(axis=0)
-    order = sorted(range(len(symbols)), key=lambda i: (-mass[i], symbols[i]))
-    admitted = np.array(order[:max(2, window)])  # symbol indices
-    owner = np.arange(len(admitted))  # active class of each admitted symbol
-    trees = [symbols[i] for i in admitted]
-    losses = _MergeLosses(full[np.ix_(admitted, admitted)])
-
-    merges = []
-    while len(trees) > 1:
-        a, b = losses.best()
-        merges.append((frozenset(symbols[i] for i in admitted[owner == a]),
-                       frozenset(symbols[i] for i in admitted[owner == b])))
-        trees[a] = _Merge(trees[a], trees[b])
-        del trees[b]
-        owner[owner == b] = a
-        owner[owner > b] -= 1
-        losses.merge(a, b)
-        if len(admitted) < len(order):
-            # Counts are integers, so summing them per class is exact.
-            new = order[len(admitted)]
-            k = len(trees)
-            losses.admit(
-                np.bincount(owner, weights=full[new, admitted], minlength=k),
-                np.bincount(owner, weights=full[admitted, new], minlength=k),
-                full[new, new])
-            trees.append(symbols[new])
-            admitted = np.append(admitted, new)
-            owner = np.append(owner, k)
-    return _finish(trees[0], symbols, budget, fallback, merges)
+    merges = _greedy_merges(symbols, bigrams, window)
+    root = merges[-1][0] if merges else symbols[0]
+    placed = {root: (0, 0)}  # class name -> (code, depth)
+    truncated = False
+    for a, b in reversed(merges):
+        code, depth = placed[a]
+        if depth < budget:
+            placed[a] = (code, depth + 1)
+            placed[b] = (code | 1 << depth, depth + 1)
+        else:
+            placed[b] = (code, depth)
+            truncated = True
+    if truncated:
+        log.warning("class tree depth exceeds %d bits; codes truncated "
+                    "and may collide", budget)
+    codes = {sym: placed[sym][0] for sym in symbols}
+    if not truncated:
+        assert len(set(codes.values())) == len(codes), \
+            "untruncated class-tree codes must be injective"
+    return ClassTree(codes=codes, budget=budget,
+                     depth=max(depth for _, depth in placed.values()),
+                     truncated=truncated, fallback=fallback)

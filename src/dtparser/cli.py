@@ -151,8 +151,9 @@ def cmd_classes(args, out):
             with open(os.path.join(args.export_text, f"{kind}.classes"),
                       "w", encoding="utf-8") as fh:
                 fh.write(tree.export_text())
+    distinct = {word for tree in trees for word in corpus.sentence_words(tree)}
     print(f"trees: {len(trees)}", file=out)
-    print(f"vocabulary: {len(vocab.words) - 1} of {len(vocab.word_counts)} "
+    print(f"vocabulary: {len(vocab.words) - 1} of {len(distinct)} "
           f"distinct words kept (plus the unknown-word symbol), "
           f"{len(vocab.tags)} tags, {len(vocab.labels)} labels", file=out)
     for kind in ("word", "tag", "label", "extension"):

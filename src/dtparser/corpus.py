@@ -214,11 +214,12 @@ class Vocabularies:
     """Symbol tables shared by every model.
 
     Words occurring fewer than `unk_threshold` times are only representable
-    as the reserved UNK symbol, which always comes first in `words`.
+    as the reserved UNK symbol, which always comes first in `words`; a
+    treebank word spelled like UNK is UNK itself, never a kept word.
     """
 
     words: list            # kept words, words[0] == UNK
-    word_counts: dict      # raw training counts, including rare words
+    word_counts: dict      # training counts of the kept words
     tags: list
     labels: list
     unk_threshold: int
@@ -245,10 +246,11 @@ def build_vocabularies(trees, unk_threshold=3):
             tags.add(leaf.tag)
         for node in internal_nodes(tree):
             labels.add(node.label)
-    kept = sorted(w for w, c in word_counts.items() if c >= unk_threshold)
+    kept = sorted(w for w, c in word_counts.items()
+                  if c >= unk_threshold and w != UNK)
     return Vocabularies(
         words=[UNK] + kept,
-        word_counts=dict(word_counts),
+        word_counts={w: word_counts[w] for w in kept},
         tags=sorted(tags),
         labels=sorted(labels),
         unk_threshold=unk_threshold,

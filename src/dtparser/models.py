@@ -159,8 +159,12 @@ def train(grow_trees, smooth_trees, config, heads=None, vocab=None,
     for kind in derivation.KINDS:
         schema = make_schema(kind, vocab, class_trees)
         log.info("growing %s model from %d events", kind, len(grow_events[kind]))
-        tree = dtm.grow(grow_events[kind], schema, config)
-        models[kind] = dtm.smooth(tree, heldout_events[kind], schema, config)
+        try:
+            tree = dtm.grow(grow_events[kind], schema, config)
+            models[kind] = dtm.smooth(tree, heldout_events[kind], schema,
+                                      config)
+        except DTParserError as exc:
+            raise type(exc)(f"{kind} model: {exc}") from exc
         log.info("%s model: %d nodes, %d lambda buckets%s", kind,
                  len(models[kind].nodes), len(models[kind].bucket_lambdas),
                  "" if models[kind].heldout_used else " (no held-out data)")

@@ -185,13 +185,8 @@ def per_length_rows(scores):
     for s in scores:
         by_length.setdefault(s.length, []).append(s)
     rows = []
-    for length in sorted(by_length):
-        subset = by_length[length]
-        gold = sum(s.gold_constituents for s in subset)
-        test = sum(s.test_constituents for s in subset)
-        correct = sum(s.correct_unlabelled for s in subset)
-        rows.append((length, len(subset),
-                     sum(s.crossings for s in subset) / len(subset),
-                     100.0 * correct / test if test else 0.0,
-                     100.0 * correct / gold if gold else 0.0))
+    for length, subset in sorted(by_length.items()):
+        row = _aggregate_range(subset)
+        rows.append((length, len(subset), row["Crossings Per Sentence"],
+                     row["Precision"], row["Recall"]))
     return rows

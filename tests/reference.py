@@ -118,6 +118,42 @@ def merge_losses(m):
     return losses
 
 
+class Merge:
+    """A node of a merge hierarchy: the classes `left` and `right` merged;
+    a class that was never merged is its symbol."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+
+
+def assign_codes(tree, budget):
+    """(codes, depth, truncated) of a merge hierarchy, walked from its
+    root: the first merge operand branches to 0, and once the depth
+    reaches the budget both operands keep their parent's code.  The oracle of the
+    codes `classtree.build_class_tree` reads off its merge list."""
+    codes = {}
+    depth = 0
+    truncated = False
+    stack = [(tree, 0, 0)]  # (node, bits, depth)
+    while stack:
+        node, bits, d = stack.pop()
+        if isinstance(node, Merge):
+            if d >= budget:
+                truncated = True
+                stack.append((node.left, bits, d))
+                stack.append((node.right, bits, d))
+            else:
+                stack.append((node.left, bits, d + 1))
+                stack.append((node.right, bits | (1 << d), d + 1))
+        else:
+            codes[node] = bits
+            depth = max(depth, d)
+    return codes, depth, truncated
+
+
 def average_mutual_information(matrix):
     """MI (bits) between left and right class of an adjacent pair, under
     the empirical distribution of `matrix` (class x class bigram counts)."""

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtparser.classtree import (ClassTree, _Merge, _MergeLosses, _finish,
+from dtparser.classtree import (ClassTree, _greedy_merges, _MergeLosses,
                                 build_class_tree, fixed_class_tree)
 from dtparser.dtm import ModelSchema, Question
 from dtparser.errors import BadSetting, EmptyVocabulary, UnknownId
 
-from reference import average_mutual_information, merge_losses
+from reference import (Merge, assign_codes, average_mutual_information,
+                       merge_losses)
 
 
 def test_bitstring_bits_and_text():
@@ -163,11 +164,12 @@ PAIRED_BIGRAMS = {("a", "c"): 8, ("a", "d"): 2, ("b", "c"): 8, ("b", "d"): 2,
 
 
 def test_profile_twins_merge_first():
-    tree = build_class_tree(["a", "b", "c", "d"], PAIRED_BIGRAMS, budget=4)
-    first_two = {frozenset(pair) for pair in tree.merges[:2]}
-    assert first_two == {frozenset({frozenset({"a"}), frozenset({"b"})}),
-                         frozenset({frozenset({"c"}), frozenset({"d"})})}
-    assert len(tree.merges) == 3  # n - 1 merges in total
+    symbols = ["a", "b", "c", "d"]
+    merges = _greedy_merges(symbols, PAIRED_BIGRAMS, window=256)
+    assert {frozenset(pair) for pair in merges[:2]} == \
+        {frozenset("ab"), frozenset("cd")}
+    assert len(merges) == 3  # n - 1 merges in total
+    tree = build_class_tree(symbols, PAIRED_BIGRAMS, budget=4)
     assert tree.depth == 2
     # the final merge splits {a,b} from {c,d} at the root bit
     bit0 = {sym: tree.codes[sym] & 1 for sym in "abcd"}
@@ -204,11 +206,13 @@ def test_every_merge_is_greedy_minimal():
     bigrams = Counter()
     for _ in range(300):
         bigrams[rng.choice(symbols), rng.choice(symbols)] += 1
-    tree = build_class_tree(symbols, bigrams, budget=5)
-    assert len(tree.merges) == 5
+    merges = _greedy_merges(symbols, bigrams, window=256)
+    assert len(merges) == 5
 
-    partition = [frozenset({s}) for s in symbols]
-    for left, right in tree.merges:
+    classes = {s: frozenset({s}) for s in symbols}  # by name
+    for a, b in merges:
+        partition = list(classes.values())
+        classes[a] |= classes.pop(b)
         before = _plain_ami(_class_matrix(partition, bigrams))
         losses = []
         for i in range(len(partition)):
@@ -216,11 +220,9 @@ def test_every_merge_is_greedy_minimal():
                 trial = [g for k, g in enumerate(partition) if k not in (i, j)]
                 trial.append(partition[i] | partition[j])
                 losses.append(before - _plain_ami(_class_matrix(trial, bigrams)))
-        taken = [g for g in partition if g not in (left, right)]
-        taken.append(left | right)
-        actual = before - _plain_ami(_class_matrix(taken, bigrams))
+        actual = before - _plain_ami(_class_matrix(list(classes.values()),
+                                                   bigrams))
         assert actual <= min(losses) + 1e-9
-        partition = taken
 
 
 def test_windowed_growing_covers_everything():
@@ -231,7 +233,7 @@ def test_windowed_growing_covers_everything():
         bigrams[rng.choice(symbols), rng.choice(symbols)] += 1
     tree = build_class_tree(symbols, bigrams, budget=8, window=3)
     assert set(tree.codes) == set(symbols)
-    assert len(tree.merges) == len(symbols) - 1
+    assert len(_greedy_merges(symbols, bigrams, window=3)) == len(symbols) - 1
     codes = list(tree.codes.values())
     assert len(set(codes)) == len(codes)
 
@@ -280,7 +282,7 @@ def test_growing_is_deterministic():
     a = build_class_tree(symbols, bigrams, budget=6, window=4)
     b = build_class_tree(symbols, bigrams, budget=6, window=4)
     assert a.export_text() == b.export_text()
-    assert a.merges == b.merges
+    assert a == b
 
 
 def test_export_text():
@@ -291,7 +293,9 @@ def test_export_text():
 
 def _reference_tree(symbols, bigrams, budget, window):
     """Greedy growing with every count matrix rebuilt from the bigrams and
-    every loss recomputed by `merge_losses`."""
+    every loss recomputed by `merge_losses`: the merges, each class named
+    by its first admitted symbol, and the codes, depth and truncation flag
+    of walking the merge hierarchy they build."""
     index = {sym: i for i, sym in enumerate(symbols)}
     full = np.zeros((len(symbols), len(symbols)))
     for (a, b), count in bigrams.items():
@@ -307,27 +311,30 @@ def _reference_tree(symbols, bigrams, budget, window):
                            for a in active])
         losses = merge_losses(matrix)
         a, b = np.unravel_index(int(np.argmin(losses)), losses.shape)
-        merges.append((frozenset(symbols[i] for i in active[a]),
-                       frozenset(symbols[i] for i in active[b])))
-        trees[a] = _Merge(trees[a], trees[b])
+        merges.append((symbols[active[a][0]], symbols[active[b][0]]))
+        trees[a] = Merge(trees[a], trees[b])
         active[a] = active[a] + active[b]
         del active[b], trees[b]
         if queue:
             active.append(queue.pop(0))
             trees.append(symbols[active[-1][0]])
-    return _finish(trees[0], symbols, budget, None, merges)
+    return merges, assign_codes(trees[0], budget)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 14), st.integers(2, 5),
+@given(st.integers(1, 14), st.integers(2, 5), st.integers(1, 16),
        st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13),
                           st.integers(1, 9)), max_size=60))
-def test_growing_equals_the_recomputing_reference(n, window, pairs):
+def test_growing_equals_the_recomputing_reference(n, window, budget, pairs):
+    """The merges equal the reference's, and the codes read off them by
+    undoing them equal those of walking the hierarchy, truncated or not."""
     symbols = [f"w{i}" for i in range(n)]
     bigrams = Counter()
     for a, b, count in pairs:
         bigrams[symbols[a % n], symbols[b % n]] += count
-    tree = build_class_tree(symbols, bigrams, budget=16, window=window)
-    reference = _reference_tree(symbols, bigrams, 16, window)
-    assert tree.merges == reference.merges
-    assert tree.export_text() == reference.export_text()
+    merges, (codes, depth, truncated) = _reference_tree(symbols, bigrams,
+                                                        budget, window)
+    assert _greedy_merges(symbols, bigrams, window) == merges
+    tree = build_class_tree(symbols, bigrams, budget=budget, window=window)
+    assert (tree.codes, tree.depth, tree.truncated) == \
+        (codes, depth, truncated)

@@ -60,9 +60,10 @@ def test_classes_summary(workdir, toy_treebank, toy_model_set, capsys, tmp_path)
                     + _flags(workdir)) == 0
     lines = capsys.readouterr().out.splitlines()
     vocab = toy_model_set.vocab
+    distinct = {leaf.word for tree in toy_treebank for leaf in leaves(tree)}
     assert lines[0] == f"trees: {len(toy_treebank)}"
     assert lines[1].startswith(
-        f"vocabulary: {len(vocab.words) - 1} of {len(vocab.word_counts)} ")
+        f"vocabulary: {len(vocab.words) - 1} of {len(distinct)} ")
     kinds = [line.split()[0] for line in lines[2:6]]
     assert kinds == ["word", "tag", "label", "extension"]
     depth, budget = map(int, re.search(
@@ -485,6 +486,17 @@ def test_config_value_that_training_rejects_exits_2(workdir, tmp_path, capsys,
                      str(tmp_path / "m"), "--config", str(conf)]) == \
         cli.EXIT_DATA
     assert f"dtparser train: error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def test_a_model_that_fails_to_train_is_named(workdir, tmp_path, capsys):
+    conf = tmp_path / "lambda.conf"
+    conf.write_text(CONFIG_TEXT + "lambda_max=1.0\n")
+    assert cli.main(["train", str(workdir / "toy.mrg"), "-o",
+                     str(tmp_path / "m"), "--config", str(conf),
+                     "--unk-threshold", "1"]) == cli.EXIT_DATA
+    assert "dtparser train: error: tag model: node " in \
+        capsys.readouterr().err
     assert not (tmp_path / "m").exists()
 
 

@@ -237,7 +237,16 @@ def test_rare_words_fold_to_unk():
     assert vocab.words == [UNK]
     assert vocab.word_symbol("Each") == UNK
     assert vocab.word_symbol("zyx") == UNK
-    assert vocab.word_counts["Each"] == 1  # raw counts keep rare words
+    assert vocab.word_counts == {}  # only kept words keep their counts
+
+
+def test_a_word_spelled_like_unk_is_the_unknown_symbol():
+    trees = parse_trees("(S (NP <unk>_NNP) (VP runs_VB))\n" * 3
+                        + "(S (NP rex_NNP) (VP sleeps_VB))\n" * 3)
+    vocab = build_vocabularies(trees, unk_threshold=2)
+    assert vocab.words == [UNK, "rex", "runs", "sleeps"]
+    assert vocab.word_counts == {"rex": 3, "runs": 3, "sleeps": 3}
+    assert vocab.word_symbol(UNK) == UNK
 
 
 def test_kept_word_maps_to_itself():

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import toylang
 from dtparser import cli, derivation, modelfile, models
 from dtparser.config import Config
-from dtparser.corpus import split_corpus, write_treebank
+from dtparser.corpus import (UNK, RawLeaf, RawTree, parse_tree, split_corpus,
+                             write_treebank)
 from dtparser.errors import ModelFileError
 
 from conftest import toy_config
@@ -95,8 +96,23 @@ def test_predictions_are_read_only(toy_treebank, toy_model_set, loaded):
 def test_round_trip_preserves_settings(toy_model_set, loaded):
     assert loaded.u_max == toy_model_set.u_max
     assert loaded.vocab == toy_model_set.vocab
-    for kind, tree in toy_model_set.class_trees.items():
-        assert loaded.class_trees[kind].export_text() == tree.export_text()
+    assert loaded.class_trees == toy_model_set.class_trees
+
+
+def test_round_trip_preserves_a_vocabulary_with_rare_words(tmp_path):
+    """At the default threshold a word seen once folds into the unknown
+    symbol; the reload still equals what training built."""
+    config = toy_config().replace(unk_threshold=3)
+    trees = toylang.corpus(50, 7) + [
+        parse_tree("(S (NP zed_NNP) (VP naps_VB))")]
+    grow, heldout = split_corpus(trees, config.grow_fraction, config.seed)
+    trained = models.train(grow, heldout, config)
+    assert "zed" not in trained.vocab.words
+    path = tmp_path / "rare.model"
+    modelfile.save_model_set(trained, config, path)
+    loaded = modelfile.load_model_set(path)
+    assert loaded.vocab == trained.vocab
+    assert loaded.class_trees == trained.class_trees
 
 
 def test_round_trip_preserves_head_rules(toy_treebank, toy_model_set, loaded):
@@ -263,9 +279,43 @@ def _train_with_classes(toy_treebank, tmp_path, classes):
 def test_classes_file_round_trip(toy_model_set, classes_saved):
     vocab, class_trees = modelfile.load_classes(classes_saved)
     assert vocab == toy_model_set.vocab
-    assert set(class_trees) == set(toy_model_set.class_trees)
-    for kind, tree in toy_model_set.class_trees.items():
-        assert class_trees[kind].export_text() == tree.export_text()
+    assert class_trees == toy_model_set.class_trees
+
+
+_WORDS = st.sampled_from(("u", "v", "w", "x", "y", UNK)) | st.text(
+    "abc", min_size=1, max_size=3)
+
+
+@st.composite
+def _trees(draw):
+    """An S over one to four children, each a leaf or a constituent of one
+    to three leaves; words repeat often, but some are seen once."""
+    children = []
+    for _ in range(draw(st.integers(1, 4))):
+        kids = tuple(RawLeaf(draw(_WORDS), draw(st.sampled_from(("T1", "T2"))))
+                     for _ in range(draw(st.integers(1, 3))))
+        children.append(kids[0] if len(kids) == 1 and draw(st.booleans())
+                        else RawTree(draw(st.sampled_from("AB")), kids))
+    return RawTree("S", tuple(children))
+
+
+@settings(max_examples=15, deadline=None)
+@given(trees=st.lists(_trees(), min_size=2, max_size=8),
+       unk_threshold=st.integers(1, 3))
+def test_classes_and_model_files_reload_to_what_training_built(
+        tmp_path_factory, trees, unk_threshold):
+    config = toy_config().replace(unk_threshold=unk_threshold)
+    grow, heldout = split_corpus(trees, config.grow_fraction, config.seed)
+    trained = models.train(grow, heldout, config)
+    root = tmp_path_factory.mktemp("reload")
+    modelfile.save_classes(trained.vocab, trained.class_trees,
+                           root / "t.classes")
+    modelfile.save_model_set(trained, config, root / "t.model")
+    loaded = modelfile.load_model_set(root / "t.model")
+    for vocab, class_trees in (modelfile.load_classes(root / "t.classes"),
+                               (loaded.vocab, loaded.class_trees)):
+        assert vocab == trained.vocab
+        assert class_trees == trained.class_trees
 
 
 def test_classes_file_rejects_model_magic(saved):
