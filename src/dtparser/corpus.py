@@ -18,8 +18,11 @@ mechanism.  In the underscore format the tag is whatever follows the
 No tree is walked by recursion, so a tree of any depth reads, writes,
 scores, compares, hashes and prints.  `postorder(tree)` yields ``(node,
 start, end)`` for every node after its children, with the first and last
-word positions it covers, counted from 0; `format_tree`, `leaves`,
-PARSEVAL and RawTree's ==, hash() and repr() build on it.
+word positions it covers, counted from 0.  A node is a word when its
+`is_leaf` is true, so a derivation's nodes are walked alike.
+`fold(tree, leaf, inner)` builds a tree's value bottom-up from its words'
+and children's values.  `format_tree`, `leaves`, PARSEVAL and RawTree's
+==, hash() and repr() build on the two.
 """
 
 import logging
@@ -44,6 +47,7 @@ _TOKEN_RE = re.compile(r"\(|\)|[^()\s]+")
 class RawLeaf:
     word: str
     tag: str
+    is_leaf = True  # not a field
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -52,6 +56,7 @@ class RawTree:
 
     label: str
     children: tuple  # of RawTree | RawLeaf, left to right
+    is_leaf = False  # not a field; a constituent, even with no children
 
     def _shape(self):
         """Each node in postorder: a leaf, or a constituent's label and
@@ -69,17 +74,10 @@ class RawTree:
         return hash(tuple(self._shape()))
 
     def __repr__(self):
-        done = []  # reprs of finished nodes whose parent is still open
-        for node, _, _ in postorder(self):
-            if isinstance(node, RawLeaf):
-                done.append(repr(node))
-                continue
-            first = len(done) - len(node.children)
-            kids = ", ".join(done[first:])
-            if len(node.children) == 1:
-                kids += ","  # a one-element tuple
-            done[first:] = [f"RawTree(label={node.label!r}, children=({kids}))"]
-        return done[0]
+        def inner(node, kids):
+            kids = ", ".join(kids) + ("," if len(kids) == 1 else "")
+            return f"RawTree(label={node.label!r}, children=({kids}))"
+        return fold(self, repr, inner)
 
 
 def check_format(fmt):
@@ -142,13 +140,14 @@ def parse_tree(text, fmt="underscore"):
 def postorder(tree):
     """Every node of `tree` after its children, left to right, as
     (node, start, end): the first and last word position it covers,
-    counted from 0.  An explicit stack, so any depth is walked."""
+    counted from 0; a node whose `is_leaf` is true is a word.  An
+    explicit stack, so any depth is walked."""
     position = 0
     stack = [(None, 0, iter((tree,)))]  # a frame above the root
     while stack:
         node, start, kids = stack[-1]
         for child in kids:
-            if isinstance(child, RawLeaf):
+            if child.is_leaf:
                 yield child, position, position
                 position += 1
             else:
@@ -160,19 +159,27 @@ def postorder(tree):
                 yield node, start, position - 1
 
 
+def fold(tree, leaf, inner):
+    """`tree`'s value, built bottom-up over `postorder`: `leaf(word)` at
+    each word and `inner(node, values)` at each other node, given the
+    list of its children's values."""
+    done = []  # values of finished nodes whose parent is still open
+    for node, _, _ in postorder(tree):
+        if node.is_leaf:
+            done.append(leaf(node))
+        else:
+            first = len(done) - len(node.children)
+            done[first:] = [inner(node, done[first:])]
+    return done[0]
+
+
 def format_tree(tree, fmt="underscore"):
     """Render a tree back to its bracketed text form."""
     check_format(fmt)
-    rendered = []  # texts of finished nodes whose parent is still open
-    for node, _, _ in postorder(tree):
-        if isinstance(node, RawLeaf):
-            rendered.append(f"{node.word}_{node.tag}" if fmt == "underscore"
-                            else f"({node.tag} {node.word})")
-        else:
-            first = len(rendered) - len(node.children)
-            inner = " ".join(rendered[first:])
-            rendered[first:] = [f"({node.label} {inner})"]
-    return rendered[0]
+    leaf = ((lambda word: f"{word.word}_{word.tag}") if fmt == "underscore"
+            else (lambda word: f"({word.tag} {word.word})"))
+    return fold(tree, leaf,
+                lambda node, kids: f"({node.label} {' '.join(kids)})")
 
 
 def read_treebank(path, fmt="underscore"):

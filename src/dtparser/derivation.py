@@ -39,10 +39,12 @@ two and last two children of the current node) of the six features
 
 giving 54 slots; a tag decision adds the word and tag of the two words
 before the one it tags (58 slots).  A missing node or value is None.  A
-word node shows the pseudo-label ``TAG_LABEL``.  The word being tagged,
-and the words right of the decision, which no node covers yet, show their
-surface form and a word's shape, and the first also ``TAG_LABEL``; a
-constituent whose label is pending shows only its child count and width.
+built node's row is its first six fields: a word node holds the
+pseudo-label ``TAG_LABEL``, and a constituent whose label is pending has
+no head or extension yet, so it shows only its child count and width.
+The word being tagged, and the words right of the decision, which no
+node covers yet, show their surface form and a word's shape, and the
+first also ``TAG_LABEL``.
 
 One table, `_LAYOUT`, says for each decision kind where each queried node
 is found and which of those cases it is, and every reader of the layout
@@ -57,10 +59,9 @@ every node they do not change.
 
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
 from typing import NamedTuple
 
-from .corpus import RawLeaf, RawTree, sentence_words
+from .corpus import RawLeaf, RawTree, fold, sentence_words
 from .errors import (DeadEnd, EmptyInput, IllegalAction, NonContiguousTree,
                      UnaryChainTooLong)
 
@@ -74,13 +75,15 @@ TAG_LABEL = "<tag>"  # reserved pseudo-label of word-level nodes
 
 
 class Node(NamedTuple):
-    """One active node: a (possibly still featureless) subtree."""
+    """One active node: a (possibly still featureless) subtree.  Its
+    first six fields are its row of history slots."""
 
     word: str          # head word; surface word at word nodes
     tag: object        # str or None
-    label: object      # str or None; word nodes stay None
+    label: object      # str or None; TAG_LABEL at word nodes
     extension: object  # str or None
-    start: int         # first covered word index, 0-based
+    count: int         # number of children
+    width: int         # number of covered words
     end: int           # last covered word index, inclusive
     children: tuple    # of Node, empty for word nodes
     unary_chain: int   # consecutive unary constituents built below
@@ -88,10 +91,6 @@ class Node(NamedTuple):
     @property
     def is_leaf(self):
         return not self.children
-
-    @property
-    def width(self):
-        return self.end - self.start + 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,7 +134,7 @@ def pending_decision(state):
         raise IllegalAction("derivation already complete")
     if state.stack:
         top = state.stack[-1]
-        if top.children and top.label is None:
+        if top.label is None:
             return KIND_LABEL, top
         if top.extension is None:
             return KIND_EXTENSION, top
@@ -159,12 +158,11 @@ def legal_actions(state, decision=None):
         return kind, tuple(state.ctx.labels)
 
     node = target
-    whole = node.start == 0 and node.end == len(state.words) - 1
-    left = state.stack[-2] if len(state.stack) >= 2 else None
+    whole = node.width == len(state.words)
     candidates = []
     if not whole:
         candidates.append("right")
-    if left is not None and left.extension in ("right", "up"):
+    if len(state.stack) >= 2 and state.stack[-2].extension in ("right", "up"):
         candidates.append("left")
         candidates.append("up")
     if node.unary_chain < state.ctx.u_max:
@@ -188,7 +186,7 @@ def apply_action(state, action, validate=True):
     ctx, words, stack, tagged, _ = state
     if kind == KIND_TAG:
         i = len(tagged)
-        leaf = Node(words[i], value, None, None, i, i, (), 0)
+        leaf = Node(words[i], value, TAG_LABEL, None, 0, 1, i, (), 0)
         return DerivationState(ctx, words, stack + (leaf,), tagged + (value,),
                                False)
 
@@ -196,13 +194,13 @@ def apply_action(state, action, validate=True):
     if kind == KIND_LABEL:
         symbols = [c.label if not c.is_leaf else c.tag for c in top.children]
         head = top.children[ctx.heads.head_child(value, symbols)]
-        node = Node(head.word, head.tag, value, None, top.start, top.end,
-                    top.children, top.unary_chain)
+        node = Node(head.word, head.tag, value, None, top.count, top.width,
+                    top.end, top.children, top.unary_chain)
         return DerivationState(ctx, words, stack[:-1] + (node,), tagged,
                                False)
 
-    node = Node(top.word, top.tag, top.label, value, top.start, top.end,
-                top.children, top.unary_chain)
+    node = Node(top.word, top.tag, top.label, value, top.count, top.width,
+                top.end, top.children, top.unary_chain)
     if value in ("right", "up"):
         return DerivationState(ctx, words, stack[:-1] + (node,), tagged,
                                False)
@@ -210,22 +208,16 @@ def apply_action(state, action, validate=True):
         return DerivationState(ctx, words, stack[:-1] + (node,), tagged, True)
 
     if value == "unary":
-        children = (node,)
-        chain = node.unary_chain + 1
-        base = len(stack) - 1
+        base, chain = len(stack) - 1, node.unary_chain + 1
     else:  # left: absorb the chain of up-nodes and the opening right-node
-        chain_nodes = [node]
-        i = len(stack) - 2
-        while i >= 0 and stack[i].extension == "up":
-            chain_nodes.append(stack[i])
-            i -= 1
-        assert i >= 0 and stack[i].extension == "right", \
+        base, chain = len(stack) - 2, 0
+        while base > 0 and stack[base].extension == "up":
+            base -= 1
+        assert stack[base].extension == "right", \
             "legal 'left' always closes back to a 'right' node"
-        chain_nodes.append(stack[i])
-        children = tuple(reversed(chain_nodes))
-        chain = 0
-        base = i
-    parent = Node(None, None, None, None, children[0].start, children[-1].end,
+    children = stack[base:-1] + (node,)
+    width = node.end - children[0].end + children[0].width
+    parent = Node(None, None, None, None, len(children), width, node.end,
                   children, chain)
     return DerivationState(ctx, words, stack[:base] + (parent,), tagged,
                            False)
@@ -251,13 +243,8 @@ def _frame(state, kind, target):
 # history, and one per feature it shows (the first n), for the lazy view.
 _FEATURES = {"word": "word", "tag": "tag", "label": "label",
              "ext": "extension", "nch": "count", "width": "width"}
-_NONE = (None,) * len(_FEATURES)
-
-# A built node's features one at a time, as `_built`'s row reads them.
-_BUILT_FEATURES = (attrgetter("word"), attrgetter("tag"),
-                   lambda node: node.label if node.children else TAG_LABEL,
-                   attrgetter("extension"), lambda node: len(node.children),
-                   lambda node: node.end - node.start + 1)
+_ROW = len(_FEATURES)  # a built Node's first fields are its row
+_NONE = (None,) * _ROW
 
 
 def _built(where):
@@ -267,27 +254,14 @@ def _built(where):
 
     def row(frame):
         nodes = frame[seq]
-        if len(nodes) < need:
-            return _NONE
-        node = nodes[k]
-        return (node.word, node.tag,
-                node.label if node.children else TAG_LABEL, node.extension,
-                len(node.children), node.end - node.start + 1)
+        return nodes[k][:_ROW] if len(nodes) >= need else _NONE
 
-    def slot(read):
+    def slot(j):
         def reader(frame):
             nodes = frame[seq]
-            return read(nodes[k]) if len(nodes) >= need else None
+            return nodes[k][j] if len(nodes) >= need else None
         return reader
-    return row, tuple(map(slot, _BUILT_FEATURES))
-
-
-def _labelling(where):
-    """A built node whose label, which picks its head, is pending: it
-    shows only its child count and width."""
-    row, slots = _built(where)
-    return ((lambda frame: (None,) * 4 + row(frame)[4:]),
-            (lambda frame: None,) * 4 + slots[4:])
+    return row, tuple(map(slot, range(_ROW)))
 
 
 def _word(rest, d):
@@ -323,16 +297,16 @@ _BEHIND = partial(_word, ())  # tagged, left of the word being tagged
 
 # The history layout: for each decision kind, each queried node in slot
 # order, its case, and where that case finds it in the frame.
-_LEFT = (("l1", _built, (_STACK, -2)), ("l2", _built, (_STACK, -3)))
 _AROUND = (("r1", _UNTAGGED, 0), ("r2", _UNTAGGED, 1),
            ("cl1", _built, (_KIDS, 0)), ("cl2", _built, (_KIDS, 1)),
            ("cr1", _built, (_KIDS, -1)), ("cr2", _built, (_KIDS, -2)))
+_ON_NODE = (("cur", _built, (_STACK, -1)), ("l1", _built, (_STACK, -2)),
+            ("l2", _built, (_STACK, -3)), *_AROUND)
 _LAYOUT = {
     KIND_TAG: (("cur", _TAGGING, -1),
                ("l1", _built, (_STACK, -1)), ("l2", _built, (_STACK, -2)),
                *_AROUND, ("w-1", _BEHIND, -2), ("w-2", _BEHIND, -3)),
-    KIND_LABEL: (("cur", _labelling, (_STACK, -1)), *_LEFT, *_AROUND),
-    KIND_EXTENSION: (("cur", _built, (_STACK, -1)), *_LEFT, *_AROUND),
+    KIND_LABEL: _ON_NODE, KIND_EXTENSION: _ON_NODE,
 }
 
 # Per kind: each queried node's name, row reader and slot readers; the
@@ -463,29 +437,15 @@ def encode(tree, ctx):
 
 def to_raw_tree(node):
     """Strip derivation bookkeeping from a completed constituent."""
-    order, stack = [], [node]  # preorder, right child first
-    while stack:
-        order.append(stack.pop())
-        stack.extend(order[-1].children)
-    built = []  # finished subtrees whose parent is still to come
-    for node in reversed(order):  # the postorder
-        if node.is_leaf:
-            built.append(RawLeaf(word=node.word, tag=node.tag))
-        else:
-            first = len(built) - len(node.children)
-            built[first:] = [RawTree(label=node.label,
-                                     children=tuple(built[first:]))]
-    return built[0]
+    return fold(node, lambda leaf: RawLeaf(word=leaf.word, tag=leaf.tag),
+                lambda node, kids: RawTree(label=node.label,
+                                           children=tuple(kids)))
 
 
 def max_unary_chain(tree):
-    """Most deeply stacked unary constituents anywhere in `tree`."""
-    best = 0
-    stack = [(tree, 0)]  # (node, unary constituents directly above it)
-    while stack:
-        node, above = stack.pop()
-        best = max(best, above)
-        if not isinstance(node, RawLeaf):
-            run = above + 1 if len(node.children) == 1 else 0
-            stack.extend((child, run) for child in node.children)
-    return best
+    """Most deeply stacked unary constituents anywhere in `tree`, folded
+    as (unary constituents stacked from a node down, the most below it)."""
+    def inner(node, kids):
+        run = kids[0][0] + 1 if len(kids) == 1 else 0
+        return run, max(run, *(best for _, best in kids))
+    return fold(tree, lambda leaf: (0, 0), inner)[1]

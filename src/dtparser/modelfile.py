@@ -12,6 +12,7 @@ training, bit for bit.  Any failed check is a ModelFileError.
 
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 
@@ -89,7 +90,13 @@ def _vocab_from(data):
     labels = _field(data, "labels", list, what)
     if not all(isinstance(symbol, str) for symbol in tags + labels):
         raise ModelFileError(f"{what} has a tag or label that is not a string")
-    return Vocabularies(words=[w for w, _ in words],
+    names = [w for w, _ in words]
+    for name, symbols in ("words", names), ("tags", tags), ("labels", labels):
+        # A repeat would take an id of its own, which no count reaches.
+        if len(set(symbols)) < len(symbols):
+            repeat = next(s for s, n in Counter(symbols).items() if n > 1)
+            raise ModelFileError(f"{what} field {name!r} repeats {repeat!r}")
+    return Vocabularies(words=names,
                         word_counts={w: c for w, c in words if c},
                         tags=tags, labels=labels,
                         unk_threshold=_field(data, "unk_threshold", int, what))
@@ -111,6 +118,10 @@ def _classtree_from(data):
         raise ModelFileError(
             f"class tree has a code that is not an int in [0, 2**depth), "
             f"depth {depth}")
+    # Only truncation lets two symbols share a code.
+    if not truncated and len(set(codes.values())) < len(codes):
+        raise ModelFileError("untruncated class tree gives two symbols one "
+                             "code")
     if fallback is not None and (not isinstance(fallback, str)
                                  or fallback not in codes):
         raise ModelFileError(

@@ -8,6 +8,7 @@ build fixtures with them.
 import numpy as np
 
 from dtparser.classtree import _loss_context, _merge_loss_row, _mi_terms
+from dtparser.corpus import RawLeaf
 from dtparser.derivation import (KIND_LABEL, KIND_TAG, TAG_LABEL, _pending,
                                  apply_action, initial_state, to_raw_tree)
 from dtparser.dtm import DTNode, FlatTree, _entropy_bits
@@ -96,6 +97,21 @@ def decode(words, events, ctx):
     if not state.complete:
         raise IllegalAction("event sequence does not complete a tree")
     return to_raw_tree(state.stack[0])
+
+
+def max_unary_chain(tree):
+    """Most deeply stacked unary constituents anywhere in `tree`, walked
+    from the root with the run of unary constituents directly above each
+    node: the oracle of `derivation.max_unary_chain`'s fold."""
+    best = 0
+    stack = [(tree, 0)]  # (node, unary constituents directly above it)
+    while stack:
+        node, above = stack.pop()
+        best = max(best, above)
+        if not isinstance(node, RawLeaf):
+            run = above + 1 if len(node.children) == 1 else 0
+            stack.extend((child, run) for child in node.children)
+    return best
 
 
 def merge_losses(m):

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import reference
 import toylang
 from reference import decode, replay
-from dtparser.corpus import RawLeaf, RawTree, format_tree, parse_tree
+from dtparser.corpus import (RawLeaf, RawTree, format_tree, parse_tree,
+                             sentence_words)
 from dtparser.derivation import (KIND_EXTENSION, KIND_LABEL,
                                  KIND_TAG, TAG_LABEL, DerivationContext,
                                  HistoryView, apply_action, encode, extract_history,
@@ -403,6 +404,13 @@ def test_max_unary_chain_of_trees_deeper_than_the_recursion_limit():
     assert max_unary_chain(toylang.right_branching(toylang.DEEP)) == 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_max_unary_chain_equals_the_reference_walk(seed, max_depth):
+    tree = toylang.random_tree(random.Random(seed), max_depth)
+    assert max_unary_chain(tree) == reference.max_unary_chain(tree)
+
+
 @pytest.mark.parametrize("make", [toylang.unary_chain,
                                   toylang.right_branching],
                          ids=["unary-chain", "right-branching"])
@@ -416,6 +424,22 @@ def test_trees_deeper_than_the_recursion_limit_encode_and_decode(make):
     assert len(events) == 2 * (len(words) + toylang.DEEP)
     assert events[-1].future == "root"
     assert decode(words, events, ctx) == tree
+
+
+@pytest.mark.parametrize("make", [toylang.unary_chain,
+                                  toylang.right_branching],
+                         ids=["unary-chain", "right-branching"])
+def test_to_raw_tree_of_trees_deeper_than_the_recursion_limit(make):
+    tree = make(toylang.DEEP)
+    ctx = DerivationContext(tags=("T",), labels=("A",),
+                            heads=default_head_rules(), u_max=toylang.DEEP)
+    words = sentence_words(tree)
+    state = replay(words, [(e.kind, e.future) for e in encode(tree, ctx)],
+                   ctx)
+    root = state.stack[0]
+    assert (root.count, root.width, root.end) == \
+        (len(tree.children), len(words), len(words) - 1)
+    assert to_raw_tree(root) == tree
 
 
 def test_bare_leaf_is_not_a_tree():

@@ -383,6 +383,14 @@ def test_classes_file_rejects_codes_beyond_the_depth(classes_saved, tmp_path):
     ("vocabularies", lambda d: d["labels"].append(7), "not a string"),
     ("vocabularies", lambda d: d.update(unk_threshold=None),
      "'unk_threshold'"),
+    ("vocabularies", lambda d: d["words"].append(list(d["words"][1])),
+     "'words' repeats"),
+    ("vocabularies", lambda d: d["words"].insert(1, [UNK, 3]),
+     f"'words' repeats '{UNK}'"),
+    ("vocabularies", lambda d: d["tags"].append(d["tags"][0]),
+     "'tags' repeats"),
+    ("vocabularies", lambda d: d["labels"].append(d["labels"][0]),
+     "'labels' repeats"),
     ("head_rules", lambda d: d.pop("rules"), "lacks its 'rules'"),
     ("head_rules", lambda d: d["rules"].append([1, 2]), "head rules entry"),
     ("head_rules", lambda d: d["rules"].append(["S", "sideways", []]),
@@ -395,6 +403,7 @@ def test_classes_file_rejects_codes_beyond_the_depth(classes_saved, tmp_path):
      "'default_direction'"),
 ], ids=["missing-words", "int-words", "negative-word-count", "bare-word",
         "unk-not-first", "string-tags", "int-label", "null-unk-threshold",
+        "repeated-word", "repeated-unk", "repeated-tag", "repeated-label",
         "missing-rules", "int-rule", "sideways-rule", "string-children",
         "sideways-default", "missing-default"])
 def test_broken_vocabularies_or_head_rules_exit_with_a_data_error(
@@ -444,9 +453,11 @@ def _first_code(data, kind, value):
     lambda d: d["tag"].update(codes=list(d["tag"]["codes"])),
     lambda d: d["tag"].update(depth="3"),
     lambda d: d.pop("label"),
+    lambda d: d["word"]["codes"].update(dog=d["word"]["codes"]["the"]),
 ], ids=["string-code", "float-code", "bool-code", "negative-code",
         "depth-over-budget", "uncovered-fallback", "missing-fallback",
-        "codes-as-list", "string-depth", "missing-label-tree"])
+        "codes-as-list", "string-depth", "missing-label-tree",
+        "untruncated-shared-code"])
 def test_malformed_class_tree_is_rejected(saved, tmp_path, mutate):
     path = _resealed(saved, tmp_path, "class_trees", mutate)
     with pytest.raises(ModelFileError, match="class tree"):
