@@ -238,24 +238,30 @@ def _parse_line(model_set, words, config):
     return f"{text}\t{result.logprob:.6f}\t{result.status}"
 
 
-def _sentences(fh):
+def _sentences(fh, undecodable):
     """The words of each line of `fh.read().splitlines()`, read lazily.  A
-    binary `fh` is decoded as UTF-8 a line at a time, so the lines before
-    one that is not UTF-8 are parsed before it raises."""
+    binary `fh` is decoded as UTF-8 a line at a time; a line that is not
+    UTF-8 ends the input, and its error is appended to `undecodable`, so
+    the lines before it are parsed before it is raised."""
     name = getattr(fh, "name", "<stdin>")
     for lineno, chunk in enumerate(fh, start=1):
-        text = (decode_utf8(chunk, name, lineno) if isinstance(chunk, bytes)
-                else chunk)
-        yield from (line.split() for line in text.splitlines())
+        if isinstance(chunk, bytes):
+            try:
+                chunk = decode_utf8(chunk, name, lineno)
+            except DTParserError as exc:
+                undecodable.append(exc)
+                return
+        yield from (line.split() for line in chunk.splitlines())
 
 
 def cmd_parse(args, out):
     config = _load_settings(args)
+    undecodable = []
     with ExitStack() as stack:
         fh = (stack.enter_context(open(args.input, "rb"))
               if args.input and args.input != "-"
               else getattr(sys.stdin, "buffer", sys.stdin))
-        jobs = _sentences(fh)
+        jobs = _sentences(fh, undecodable)
         # Loaded here even for the workers, so a bad file exits 2 at once.
         model_set = load_model_set(args.model)
         if config.workers > 1:  # the pool reads every line ahead
@@ -269,6 +275,8 @@ def cmd_parse(args, out):
         for line in results:  # in input order, each as soon as it is done
             print(line, file=out, flush=True)
             failed |= line.startswith(f"{ERROR_MARKER}\t")
+    if undecodable:
+        raise undecodable[0]
     return EXIT_INTERNAL if failed else EXIT_OK
 
 

@@ -25,8 +25,8 @@ kind, the conditioning history and the chosen value, so a tree and its
 event sequence determine each other exactly.  A tree's decisions are its
 postorder: a word's tag, or a constituent's label after all of its
 children, each followed by the node's extension, which its position
-among its siblings fixes.  `encode` replays that postorder through
-`apply_action`, which checks that every action is the legal next one.
+among its siblings fixes.  `replay` steps through that postorder, checks
+that each action is legal, and is what `encode` and `derivation_logprob` read.
 
 History slot layout
 -------------------
@@ -413,14 +413,12 @@ def _postorder(tree):
         yield KIND_EXTENSION, extension
 
 
-def encode(tree, ctx):
-    """The unique event sequence whose replay reconstructs `tree`.
-
-    Returns a list of DerivationEvent.  Raises UnaryChainTooLong when the
-    tree stacks more unary constituents than the context allows.
-    """
+def replay(tree, ctx):
+    """Each (state, kind, value) of `tree`'s derivation: its actions in
+    order, each with the state it is taken in, and each checked to be the
+    legal next one before it is yielded.  Raises UnaryChainTooLong when
+    the tree stacks more unary constituents than the context allows."""
     state = initial_state(sentence_words(tree), ctx)
-    events = []
     for kind, value in _postorder(tree):
         if kind == KIND_EXTENSION and value == "unary":
             chain = state.stack[-1].unary_chain
@@ -428,11 +426,17 @@ def encode(tree, ctx):
                 raise UnaryChainTooLong(
                     f"tree stacks {chain + 1} unary constituents, "
                     f"cap is {ctx.u_max}")
-        events.append(DerivationEvent(kind=kind,
-                                      history=extract_history(state, kind),
-                                      future=value))
-        state = apply_action(state, (kind, value))
-    return events
+        after = apply_action(state, (kind, value))  # checks it is legal
+        yield state, kind, value
+        state = after
+
+
+def encode(tree, ctx):
+    """The unique event sequence whose replay reconstructs `tree`: a list
+    of DerivationEvent, one per step of `replay`."""
+    return [DerivationEvent(kind=kind, history=extract_history(state, kind),
+                            future=value)
+            for state, kind, value in replay(tree, ctx)]
 
 
 def to_raw_tree(node):

@@ -102,8 +102,9 @@ def _vocab_from(data):
                         unk_threshold=_field(data, "unk_threshold", int, what))
 
 
-def _classtree_from(data):
-    what = "class tree"
+def _classtree_from(data, what, symbols):
+    """The class tree `data` holds, which must give each of `symbols` a
+    code; `what` names it in every error."""
     depth = _field(data, "depth", int, what)
     budget = _field(data, "budget", int, what)
     truncated = _field(data, "truncated", bool, what)
@@ -111,21 +112,24 @@ def _classtree_from(data):
     codes = _field(data, "codes", dict, what)
     if not 0 <= depth <= budget:
         raise ModelFileError(
-            f"class tree depth {depth!r} is not within its budget {budget!r}")
+            f"{what} depth {depth!r} is not within its budget {budget!r}")
     # Training asks only the bits below a class tree's depth.
     if not all(_is_int(code) and 0 <= code < 1 << depth
                for code in codes.values()):
         raise ModelFileError(
-            f"class tree has a code that is not an int in [0, 2**depth), "
+            f"{what} has a code that is not an int in [0, 2**depth), "
             f"depth {depth}")
     # Only truncation lets two symbols share a code.
     if not truncated and len(set(codes.values())) < len(codes):
-        raise ModelFileError("untruncated class tree gives two symbols one "
-                             "code")
+        raise ModelFileError(f"{what} is untruncated but gives two symbols "
+                             "one code")
     if fallback is not None and (not isinstance(fallback, str)
                                  or fallback not in codes):
         raise ModelFileError(
-            f"class tree fallback {fallback!r} is not one of its symbols")
+            f"{what} fallback {fallback!r} is not one of its symbols")
+    for symbol in symbols:
+        if symbol not in codes:  # membership, not the fallback lookup
+            raise ModelFileError(f"{what} has no code for {symbol!r}")
     return ClassTree(codes=codes, budget=budget, depth=depth,
                      truncated=truncated, fallback=fallback)
 
@@ -286,18 +290,12 @@ def _classes_from(sections, path):
     checked, and each giving every symbol `models.class_symbols` lists
     its own code."""
     vocab = _vocab_from(sections["vocabularies"])
-    what = f"{path}: class trees"
-    class_trees = {}
-    for kind, symbols in class_symbols(vocab).items():
-        tree = class_trees[kind] = _classtree_from(
-            _field(sections["class_trees"], kind, object, what))
-        codes = tree.codes
-        for symbol in symbols:
-            if symbol not in codes:  # membership, not the fallback lookup
-                raise ModelFileError(
-                    f"{what}: the {kind} class tree has no code for "
-                    f"{symbol!r}")
-    return vocab, class_trees
+    trees = sections["class_trees"]
+    return vocab, {
+        kind: _classtree_from(
+            _field(trees, kind, object, f"{path}: class trees"),
+            f"{path}: the {kind} class tree", symbols)
+        for kind, symbols in class_symbols(vocab).items()}
 
 
 def save_classes(vocab, class_trees, path):

@@ -205,13 +205,9 @@ def score_action(model_set, state, action):
 
 
 def derivation_logprob(model_set, tree):
-    """Natural-log probability the models assign to `tree`'s derivation:
-    one replay of its actions, each scored by `score_action`, which
-    rejects an illegal one."""
-    state = derivation.initial_state(sentence_words(tree),
-                                     model_set.context())
+    """Natural-log probability the models assign to `tree`'s derivation,
+    each action of its `derivation.replay` scored by `score_action`."""
     total = 0.0
-    for action in derivation._postorder(tree):
-        total += score_action(model_set, state, action)
-        state = derivation.apply_action(state, action, validate=False)
+    for state, kind, value in derivation.replay(tree, model_set.context()):
+        total += score_action(model_set, state, (kind, value))
     return total

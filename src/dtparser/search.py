@@ -38,11 +38,14 @@ gives each legal decision its log probability, read from the reached
 leaf's row of logs, and a successor's `logprob` is its parent's plus
 that score.
 
-Expanding a hypothesis scores every legal successor but records each one
-only as (parent, decision, log probability, `h`); a successor's
-derivation state is built when it is popped and survives the incumbent
-bound, so most successors, which are never popped, cost no state at all.
-Search order and results do not depend on when states are built.
+Expanding a hypothesis scores every legal successor but keeps each one
+only as an entry, a plain (log probability, `h`, parent, kind, value)
+tuple.  An entry becomes a hypothesis record, whose derivation state is
+built when it is made, only where search keeps it: when `parse` pops it
+and it survives both incumbent checks, when the memory fallback rolls it
+out, and when `exhaustive_parse` descends into it.  So most successors,
+which are never popped, cost one tuple and no state.  Search order and
+results do not depend on when states are built.
 """
 
 import heapq
@@ -50,6 +53,8 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from . import derivation
 from .errors import (DeadEnd, EmptyInput, EnumerationBudgetExceeded,
@@ -71,29 +76,16 @@ class SearchResult:
     expanded: int      # hypotheses expanded, memory fallback included
 
 
-class _Hypothesis:
-    """One partial derivation: its parent plus the (kind, value) decision
-    taken there, and `h`, the bound on what its unfinished words still
-    cost.  Its derivation state is built from the parent's state the
-    first time it is read, so a successor that is never popped, or is
-    pruned when popped, never builds one."""
+class _Hypothesis(NamedTuple):
+    """One kept partial derivation: its state, then the fields of the
+    successor entry it was made from."""
 
-    __slots__ = ("_state", "kind", "logprob", "h", "parent", "value")
-
-    def __init__(self, state, logprob, h, parent, kind, value):
-        self._state = state
-        self.logprob = logprob
-        self.h = h
-        self.parent = parent
-        self.kind = kind
-        self.value = value
-
-    @property
-    def state(self):
-        if self._state is None:
-            self._state = derivation.apply_action(
-                self.parent.state, (self.kind, self.value), validate=False)
-        return self._state
+    state: object
+    logprob: float
+    h: float
+    parent: object
+    kind: object
+    value: object
 
     def decisions(self):
         values = []
@@ -116,24 +108,30 @@ class _Best:
         if hyp.logprob < self.logprob:
             return
         decisions = hyp.decisions()
-        if hyp.logprob == self.logprob and self._decisions is not None \
-                and decisions >= self._decisions:
-            return
-        self.hyp = hyp
-        self.logprob = hyp.logprob
-        self._decisions = decisions
+        if self.hyp is None or hyp.logprob > self.logprob \
+                or decisions < self._decisions:
+            self.hyp, self.logprob, self._decisions = \
+                hyp, hyp.logprob, decisions
 
 
 def _expand(model_set, hyp, bound=None):
-    """Successors of `hyp`, one per legal action, each carrying its `h`
-    under `bound` (0 without one); empty at a dead end."""
+    """The successor entries of `hyp`, one (logprob, h, hyp, kind, value)
+    per legal action, each `h` under `bound` (0 without one); empty at a
+    dead end."""
     try:
         kind, scored = action_scores(model_set, hyp.state)
     except DeadEnd:
         return []
     h = 0.0 if bound is None else bound.after(hyp, kind)
-    return [_Hypothesis(None, hyp.logprob + score, h, hyp, kind, value)
+    return [(hyp.logprob + score, h, hyp, kind, value)
             for value, score in scored]
+
+
+def _record(entry):
+    """The hypothesis a successor entry stands for, its state built."""
+    _, _, parent, kind, value = entry
+    return _Hypothesis(derivation.apply_action(parent.state, (kind, value),
+                                               validate=False), *entry)
 
 
 def _result(best, status, expanded):
@@ -175,33 +173,35 @@ def parse(model_set, words, config):
         raise SentenceTooLong(f"sentence of {len(words)} words exceeds the "
                               f"{config.max_length}-word limit")
     bound = _OutsideBound(model_set, words)
-    start = _Hypothesis(derivation.initial_state(words, model_set.context()),
-                        0.0, bound.untagged[0], None, None, None)
+    hyp = _Hypothesis(derivation.initial_state(words, model_set.context()),
+                      0.0, bound.untagged[0], None, None, None)
     best = _Best()
     expanded = 0
     ticket = itertools.count()  # FIFO among equal priorities
-    heap = [(-(start.logprob + start.h), next(ticket), start)]
-    while heap:
-        priority, _, hyp = heapq.heappop(heap)
-        # Every hypothesis left scores at most -priority, so once that
-        # falls below the incumbent (by more than rounding) none can
-        # complete to a parse as good.
-        if -priority < best.logprob - 1e-9 * max(1.0, -best.logprob):
-            break
-        if hyp.logprob < best.logprob:
-            continue
+    heap = []  # (-(logprob + h), ticket, entry)
+    while hyp is not None:
         if hyp.state.complete:
             best.offer(hyp)
-            continue
-        expanded += 1
-        for succ in _expand(model_set, hyp, bound):
-            if succ.logprob < best.logprob:
-                continue
-            heapq.heappush(heap, (-(succ.logprob + succ.h), next(ticket),
-                                  succ))
-        if len(heap) > config.max_hypotheses:
-            return _memory_fallback(model_set, [entry[2] for entry in heap],
-                                    best, expanded)
+        else:
+            expanded += 1
+            for entry in _expand(model_set, hyp, bound):
+                if entry[0] >= best.logprob:
+                    heapq.heappush(heap, (-(entry[0] + entry[1]),
+                                          next(ticket), entry))
+            if len(heap) > config.max_hypotheses:
+                return _memory_fallback(model_set, [item[2] for item in heap],
+                                        best, expanded)
+        hyp = None
+        while heap:
+            priority, _, entry = heapq.heappop(heap)
+            # Every entry left scores at most -priority, so once that
+            # falls below the incumbent (by more than rounding) none can
+            # complete to a parse as good.
+            if -priority < best.logprob - 1e-9 * max(1.0, -best.logprob):
+                break
+            if entry[0] >= best.logprob:
+                hyp = _record(entry)
+                break
 
     return _result(best, STATUS_NO_PARSE if best.hyp is None
                    else STATUS_OPTIMAL, expanded)
@@ -211,18 +211,15 @@ _MAX_ROLLOUTS = 64
 
 
 def _memory_fallback(model_set, pool, best, expanded):
-    """Out of memory budget: greedily finish the most promising live
-    hypothesis so the caller still gets a parse, flagged as a search error."""
-    heap = [(-h.logprob, i, h) for i, h in enumerate(pool)]
-    heapq.heapify(heap)
-    rollouts = 0
-    while heap and rollouts < _MAX_ROLLOUTS:
-        _, _, hyp = heapq.heappop(heap)
-        rollouts += 1
+    """Out of memory budget: greedily finish the most promising live entry
+    of `pool` so the caller still gets a parse, flagged as a search error.
+    Entries roll out by falling log probability, equal ones in pool order."""
+    for entry in sorted(pool, key=itemgetter(0), reverse=True)[:_MAX_ROLLOUTS]:
+        hyp = _record(entry)
         while hyp is not None and not hyp.state.complete:
             expanded += 1
             succs = _expand(model_set, hyp)
-            hyp = max(succs, key=lambda s: (s.logprob, s.value)) if succs else None
+            hyp = _record(max(succs, key=itemgetter(0, 4))) if succs else None
         if hyp is not None:
             best.offer(hyp)
             break
@@ -250,18 +247,14 @@ def exhaustive_parse(model_set, words, budget=5_000_000):
         if hyp.state.complete:
             best.offer(hyp)
             return
-        if hyp.logprob < best.logprob:
-            return
         if expanded >= budget:
             raise EnumerationBudgetExceeded(
                 f"exhaustive enumeration passed {budget} expansions")
         expanded += 1
-        succs = sorted(_expand(model_set, hyp),
-                       key=lambda s: (-s.logprob, s.value))
-        for succ in succs:
-            if succ.logprob < best.logprob:
-                continue
-            descend(succ)
+        for entry in sorted(_expand(model_set, hyp),
+                            key=lambda e: (-e[0], e[4])):
+            if entry[0] >= best.logprob:
+                descend(_record(entry))
 
     descend(start)
     return _result(best, STATUS_NO_PARSE if best.hyp is None

@@ -184,8 +184,11 @@ def test_parse_reads_stdin(model_path, monkeypatch, capsys):
 @given(st.text(alphabet="ab \n\r\x0b\x0c\x1c\x85\u2028"))
 def test_parse_reads_the_lines_str_splitlines_finds(text):
     lines = [line.split() for line in text.splitlines()]
-    assert list(cli._sentences(io.StringIO(text))) == lines
-    assert list(cli._sentences(io.BytesIO(text.encode("utf-8")))) == lines
+    undecodable = []
+    assert list(cli._sentences(io.StringIO(text), undecodable)) == lines
+    assert list(cli._sentences(io.BytesIO(text.encode("utf-8")),
+                               undecodable)) == lines
+    assert undecodable == []
 
 
 def test_parse_answers_each_line_before_the_next_is_written(model_path):
@@ -331,6 +334,21 @@ def test_parse_exits_2_at_a_line_that_is_not_utf8(model_path, tmp_path,
     assert "dtparser parse: error:" in captured.err
     assert "utf-8" in captured.err and "Traceback" not in captured.err
     assert f"{tmp_path / 'in.txt'}:2: " in captured.err
+
+
+def test_parse_workers_print_the_lines_before_one_that_is_not_utf8(
+        model_path, tmp_path, capsys):
+    """The worker pool reads every line ahead, and the line that does not
+    decode ends the input: the lines before it are parsed and printed
+    before `parse` exits 2, as they are without workers."""
+    (tmp_path / "in.txt").write_bytes(b"the dog runs\n\xff\xfe bad\n")
+    assert cli.main(["parse", model_path, str(tmp_path / "in.txt"),
+                     "--workers", "2"]) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].endswith("\toptimal")
+    assert f"{tmp_path / 'in.txt'}:2: not utf-8" in captured.err
+    assert "Traceback" not in captured.err
 
 
 # --- eval / report ---

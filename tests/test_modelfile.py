@@ -442,26 +442,31 @@ def _first_code(data, kind, value):
     codes[next(iter(codes))] = value
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda d: _first_code(d, "tag", "1"),
-    lambda d: _first_code(d, "tag", 1.0),
-    lambda d: _first_code(d, "tag", True),
-    lambda d: _first_code(d, "tag", -1),
-    lambda d: d["tag"].update(depth=d["tag"]["budget"] + 1),
-    lambda d: d["word"].update(fallback="no such word"),
-    lambda d: d["word"].pop("fallback"),
-    lambda d: d["tag"].update(codes=list(d["tag"]["codes"])),
-    lambda d: d["tag"].update(depth="3"),
-    lambda d: d.pop("label"),
-    lambda d: d["word"]["codes"].update(dog=d["word"]["codes"]["the"]),
+@pytest.mark.parametrize("kind, mutate", [
+    ("tag", lambda d: _first_code(d, "tag", "1")),
+    ("tag", lambda d: _first_code(d, "tag", 1.0)),
+    ("tag", lambda d: _first_code(d, "tag", True)),
+    ("tag", lambda d: _first_code(d, "tag", -1)),
+    ("tag", lambda d: d["tag"].update(depth=d["tag"]["budget"] + 1)),
+    ("word", lambda d: d["word"].update(fallback="no such word")),
+    ("word", lambda d: d["word"].pop("fallback")),
+    ("tag", lambda d: d["tag"].update(codes=list(d["tag"]["codes"]))),
+    ("tag", lambda d: d["tag"].update(depth="3")),
+    ("label", lambda d: d.pop("label")),
+    ("word", lambda d: d["word"]["codes"].update(
+        dog=d["word"]["codes"]["the"])),
 ], ids=["string-code", "float-code", "bool-code", "negative-code",
         "depth-over-budget", "uncovered-fallback", "missing-fallback",
         "codes-as-list", "string-depth", "missing-label-tree",
         "untruncated-shared-code"])
-def test_malformed_class_tree_is_rejected(saved, tmp_path, mutate):
+def test_malformed_class_tree_is_rejected(saved, tmp_path, kind, mutate):
+    """Each refusal names the file and the class tree it breaks."""
     path = _resealed(saved, tmp_path, "class_trees", mutate)
-    with pytest.raises(ModelFileError, match="class tree"):
+    with pytest.raises(ModelFileError) as caught:
         modelfile.load_model_set(path)
+    assert str(caught.value).startswith(
+        (f"{path}: the {kind} class tree ",
+         f"{path}: class trees lacks its '{kind}' field"))
 
 
 @pytest.mark.parametrize("mutate", [

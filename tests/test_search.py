@@ -82,6 +82,42 @@ def test_memory_cap_degrades_gracefully(toy_model_set, config):
     assert result.expanded > 0
 
 
+@pytest.mark.parametrize("model, sentence, cap, tree, logprob, expanded", [
+    ("toy", " ".join(LONG_SENTENCE), 10,
+     "(S (NP the_DT old_JJ ball_NN) (VP runs_VB (NP a_DT old_JJ cat_NN) "
+     "(PP in_IN (NP the_DT park_NN))))", "-0x1.3caa9515397c4p-10", 32),
+    ("toy", "rex sees a big ball", 5,
+     "(S (NP rex_NNP) (VP sees_VB (NP a_DT big_JJ ball_NN)))",
+     "-0x1.7c3d13dce91eap-11", 18),
+    ("toy", "mia sleeps in the park", 3,
+     "(S (NP mia_NNP) (VP sleeps_VB (NP in_IN (NP the_DT park_NN))))",
+     "-0x1.9055346f1c788p-11", 20),
+    ("toy", "qq zz", 2, "(S (NP qq_DT zz_DT))", "-0x1.5908c47aad2efp+3", 8),
+    ("random-tree", "y w z", 20, "(B (C y_T1) (C w_T1 z_T1))",
+     "-0x1.15f5ff6e3dd82p+3", 20),
+    ("random-tree", "w qq z qq", 20, "(C (C w_T1) (B (C qq_T1 z_T1) qq_T1))",
+     "-0x1.73f42b94f79bep+3", 24),
+    ("random-tree", "x qq v z", 1, "(A x_T1 (A (B qq_T1 v_T1) z_T1))",
+     "-0x1.35c0fd5c77fc8p+3", 14),
+    # the pool holds two live hypotheses of equal log probability
+    ("random-tree", "qq y v", 20, "(B qq_T1 (C y_T2 v_T1))",
+     "-0x1.b192cd20a02adp+2", 17),
+    # m's tags T1 and T2 score alike, and the rollout starts from T1
+    ("tied", "m n", 1, "(S (A m_T1 n_T3))", "-0x1.210a13df1c7adp+2", 8),
+])
+def test_capped_search_returns_the_same_rollout(
+        toy_model_set, random_tree_model_set, config, model, sentence, cap,
+        tree, logprob, expanded):
+    """What the memory fallback returns, pinned: the tree, the exact log
+    probability, the status and the expansions of each capped search."""
+    model_set = {"toy": toy_model_set, "random-tree": random_tree_model_set,
+                 "tied": _ambiguous_model_set(2, 2)}[model]
+    result = search.parse(model_set, sentence.split(),
+                          config.replace(max_hypotheses=cap))
+    assert (format_tree(result.tree), result.logprob.hex(), result.status,
+            result.expanded) == (tree, logprob, STATUS_MEMORY, expanded)
+
+
 def test_default_cap_finds_the_optimum(toy_model_set, config):
     result = search.parse(toy_model_set, LONG_SENTENCE, config)
     assert result.status == STATUS_OPTIMAL
