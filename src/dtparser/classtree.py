@@ -32,6 +32,10 @@ from .errors import BadSetting, EmptyVocabulary, UnknownId
 
 log = logging.getLogger(__name__)
 
+# The widest code: `dtm.ModelSchema.encode_histories` stores codes in an
+# int64 column, whose sign bit leaves 63 bits.
+MAX_BITS = 63
+
 
 class _Codes(dict):
     """Symbol -> code; a symbol the table lacks takes the fallback

@@ -11,11 +11,12 @@ Commands::
 Shared flags: ``--format`` (treebank format), ``--seed``, ``--config``
 (key=value file; command-line flags win).  Exit codes: 0 success, 1 usage,
 2 data error (bad input files, input that is not UTF-8, malformed trees,
-model mismatches, settings training cannot use), 3 internal error, which
+model mismatches, a setting outside its domain), 3 internal error, which
 for ``parse`` includes any sentence printed as an ERROR line.
 """
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -55,8 +56,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def common(p):
-        p.add_argument("--format", choices=corpus.FORMATS, default=None,
-                       help="treebank format (default underscore)")
+        p.add_argument("--format", default=None, help="treebank format, "
+                       f"{' or '.join(corpus.FORMATS)} (default underscore)")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for the corpus split")
         p.add_argument("--config", metavar="PATH", default=None,
@@ -108,37 +109,26 @@ def _build_parser():
                        help="also write a per-sentence TSV here")
         p.add_argument("--ranges", default=None,
                        help="length ranges, e.g. 4:40,4:25,10:20")
-        p.add_argument("--no-root", action="store_true",
+        p.add_argument("--no-root", dest="include_root", action="store_const",
+                       const=False,
                        help="exclude the root constituent from scoring")
-        p.add_argument("--unique", action="store_true",
-                       help="count duplicated constituents once")
+        p.add_argument("--unique", dest="multiset", action="store_const",
+                       const=False, help="count duplicated constituents once")
     return parser
 
 
 def _load_settings(args):
-    """Defaults, overlaid by --config, overlaid by explicit flags."""
-    config = Config()
-    if args.config:
-        config = load_config(args.config, base=config)
-    overrides = {}
-    for key in ("format", "seed", "unk_threshold", "grow_fraction", "u_max",
-                "max_length", "max_hypotheses", "workers"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "no_root", False):
-        overrides["include_root"] = False
-    if getattr(args, "unique", False):
-        overrides["multiset"] = False
-    config = config.replace(**overrides)
-    corpus.check_format(config.format)
-    return config
+    """Defaults, overlaid by --config, overlaid by explicit flags: each
+    flag whose destination is named after a setting."""
+    config = load_config(args.config) if args.config else Config()
+    return config.replace(**{f.name: getattr(args, f.name)
+                             for f in dataclasses.fields(Config)
+                             if getattr(args, f.name, None) is not None})
 
 
 # --- classes ---
 
-def cmd_classes(args, out):
-    config = _load_settings(args)
+def cmd_classes(args, config, out):
     trees = read_treebank(args.treebank, config.format)
     if not trees:
         raise EmptyCorpus(f"{args.treebank}: no trees")
@@ -166,8 +156,7 @@ def cmd_classes(args, out):
 
 # --- train ---
 
-def cmd_train(args, out):
-    config = _load_settings(args)
+def cmd_train(args, config, out):
     trees = read_treebank(args.treebank, config.format)
     if not trees:
         raise EmptyCorpus(f"{args.treebank}: no trees")
@@ -254,8 +243,7 @@ def _sentences(fh, undecodable):
         yield from (line.split() for line in chunk.splitlines())
 
 
-def cmd_parse(args, out):
-    config = _load_settings(args)
+def cmd_parse(args, config, out):
     undecodable = []
     with ExitStack() as stack:
         fh = (stack.enter_context(open(args.input, "rb"))
@@ -325,8 +313,7 @@ def _write_sentence_tsv(scores, path):
                      f"\t{s.tags_correct}\n")
 
 
-def cmd_eval(args, out, with_lengths=False):
-    config = _load_settings(args)
+def cmd_eval(args, config, out, with_lengths=False):
     scores = _score_treebanks(args, config)
     ranges = (_parse_ranges(args.ranges) if args.ranges
               else parseval.DEFAULT_RANGES)
@@ -355,15 +342,15 @@ def main(argv=None):
         "train": cmd_train,
         "parse": cmd_parse,
         "eval": cmd_eval,
-        "report": lambda a, o: cmd_eval(a, o, with_lengths=True),
+        "report": lambda *a: cmd_eval(*a, with_lengths=True),
     }
     try:
+        config = _load_settings(args)  # before any file is written
         out_path = getattr(args, "out", None)
-        needs_file = args.command in ("parse", "eval", "report") and out_path
-        if needs_file:
+        if args.command in ("parse", "eval", "report") and out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
-                return commands[args.command](args, fh)
-        return commands[args.command](args, sys.stdout)
+                return commands[args.command](args, config, fh)
+        return commands[args.command](args, config, sys.stdout)
     except (DTParserError, OSError) as exc:
         print(f"dtparser {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_DATA

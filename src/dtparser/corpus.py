@@ -31,13 +31,12 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import (BadSetting, EmptyConstituent, EmptyCorpus,
-                     FractionOutOfRange, MissingTag, UnbalancedBrackets,
-                     read_text)
+from .config import FORMATS, check  # FORMATS re-exported
+from .errors import (EmptyConstituent, EmptyCorpus, MissingTag,
+                     UnbalancedBrackets, read_text)
 
 log = logging.getLogger(__name__)
 
-FORMATS = ("underscore", "penn")
 UNK = "<unk>"
 
 _TOKEN_RE = re.compile(r"\(|\)|[^()\s]+")
@@ -80,19 +79,13 @@ class RawTree:
         return fold(self, repr, inner)
 
 
-def check_format(fmt):
-    if fmt not in FORMATS:
-        raise BadSetting(f"unknown treebank format {fmt!r}, expected one "
-                         f"of {'/'.join(FORMATS)}")
-
-
 def parse_trees(text, fmt="underscore"):
     """Parse every top-level bracketed expression in `text`.
 
     Returns a list of RawTree.  Raises UnbalancedBrackets, MissingTag or
     EmptyConstituent on malformed input; positions are character offsets.
     """
-    check_format(fmt)
+    check("format", fmt)
     trees = []
     stack = []  # open groups: [open position, label, children, bare tokens]
     for m in _TOKEN_RE.finditer(text):
@@ -175,7 +168,7 @@ def fold(tree, leaf, inner):
 
 def format_tree(tree, fmt="underscore"):
     """Render a tree back to its bracketed text form."""
-    check_format(fmt)
+    check("format", fmt)
     leaf = ((lambda word: f"{word.word}_{word.tag}") if fmt == "underscore"
             else (lambda word: f"({word.tag} {word.word})"))
     return fold(tree, leaf,
@@ -270,8 +263,7 @@ def split_corpus(trees, grow_fraction=0.9, seed=0):
     The split is by whole trees; each input tree lands in exactly one side.
     Order within each side follows the original corpus order.
     """
-    if not 0.0 < grow_fraction < 1.0:
-        raise FractionOutOfRange(f"grow fraction must be in (0, 1), got {grow_fraction}")
+    check("grow_fraction", grow_fraction)
     if not trees:
         raise EmptyCorpus("cannot split an empty corpus")
     indices = list(range(len(trees)))

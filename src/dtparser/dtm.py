@@ -481,7 +481,7 @@ def smooth(tree, heldout_events, schema, config):
             np.stack([tree.nodes[i].empirical() for i in path]),
             np.array([bucket_pos[count_bucket(tree.nodes[i])] for i in path]))
 
-    lam = np.full(len(buckets), 0.5)
+    lam = np.full(len(buckets), min(0.5, config.lambda_max))
     uniform = 1.0 / len(schema.futures)
     em_log = []
     for _ in range(config.em_max_iterations):

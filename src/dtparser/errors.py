@@ -56,10 +56,6 @@ class EmptyCorpus(DTParserError):
     pass
 
 
-class FractionOutOfRange(DTParserError):
-    pass
-
-
 # --- head rules ---
 
 class BadRuleSyntax(DTParserError):

@@ -4,10 +4,12 @@ the SHA-256 of its canonical serialization.  `_write` writes it; `_read`
 checks the magic, the version, every checksum and the sections the kind
 requires.  A classes file holds the vocabularies and class trees, a model
 file those, the head rules, the three decision-tree models and the
-settings.  A model stores its nodes' questions and counts and its bucket
-interpolation weights (C99 hex float literals); from them
-`dtm.SmoothedModel` derives the leaf distributions on load as in
-training, bit for bit.  Any failed check is a ModelFileError.
+settings: the unary chain cap and schema version, which loading reads,
+and, as provenance that nothing reads, the text of every `Config`
+setting training ran with.  A model stores its nodes' questions and
+counts and its bucket interpolation weights (C99 hex float literals);
+from them `dtm.SmoothedModel` derives the leaf distributions on load as
+in training, bit for bit.  Any failed check is a ModelFileError.
 """
 
 import hashlib
@@ -17,11 +19,12 @@ from collections import Counter
 import numpy as np
 
 from . import derivation, dtm
-from .classtree import ClassTree
+from .classtree import MAX_BITS, ClassTree
 from .corpus import UNK, Vocabularies
 from .errors import DegenerateDistribution, ModelFileError, read_text
 from .headfinder import DIRECTIONS, HeadRule, HeadRuleTable
-from .models import SCHEMA_VERSION, ModelSet, class_symbols, make_schema
+from .models import (CLASS_FALLBACKS, SCHEMA_VERSION, ModelSet,
+                     class_symbols, make_schema)
 
 MAGIC = "dtparser-model"
 CLASSES_MAGIC = "dtparser-classes"
@@ -102,17 +105,19 @@ def _vocab_from(data):
                         unk_threshold=_field(data, "unk_threshold", int, what))
 
 
-def _classtree_from(data, what, symbols):
+def _classtree_from(data, what, symbols, expected_fallback):
     """The class tree `data` holds, which must give each of `symbols` a
-    code; `what` names it in every error."""
+    code and have the fallback training gives it; `what` names it in
+    every error."""
     depth = _field(data, "depth", int, what)
     budget = _field(data, "budget", int, what)
     truncated = _field(data, "truncated", bool, what)
     fallback = _field(data, "fallback", object, what)
     codes = _field(data, "codes", dict, what)
-    if not 0 <= depth <= budget:
+    if not 0 <= depth <= budget <= MAX_BITS:
         raise ModelFileError(
-            f"{what} depth {depth!r} is not within its budget {budget!r}")
+            f"{what} has depth {depth!r} and budget {budget!r}, not 0 <= "
+            f"depth <= budget <= {MAX_BITS}")
     # Training asks only the bits below a class tree's depth.
     if not all(_is_int(code) and 0 <= code < 1 << depth
                for code in codes.values()):
@@ -123,10 +128,9 @@ def _classtree_from(data, what, symbols):
     if not truncated and len(set(codes.values())) < len(codes):
         raise ModelFileError(f"{what} is untruncated but gives two symbols "
                              "one code")
-    if fallback is not None and (not isinstance(fallback, str)
-                                 or fallback not in codes):
-        raise ModelFileError(
-            f"{what} fallback {fallback!r} is not one of its symbols")
+    if fallback != expected_fallback:
+        raise ModelFileError(f"{what} fallback is {fallback!r}, not "
+                             f"{expected_fallback!r} as training writes")
     for symbol in symbols:
         if symbol not in codes:  # membership, not the fallback lookup
             raise ModelFileError(f"{what} has no code for {symbol!r}")
@@ -294,7 +298,8 @@ def _classes_from(sections, path):
     return vocab, {
         kind: _classtree_from(
             _field(trees, kind, object, f"{path}: class trees"),
-            f"{path}: the {kind} class tree", symbols)
+            f"{path}: the {kind} class tree", symbols,
+            CLASS_FALLBACKS.get(kind))
         for kind, symbols in class_symbols(vocab).items()}
 
 

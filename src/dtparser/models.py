@@ -83,6 +83,10 @@ def make_schema(kind, vocab, class_trees):
                            encoders=class_trees, futures=futures)
 
 
+# The symbol a class tree codes an unlisted one as: the word tree's only.
+CLASS_FALLBACKS = {"word": UNK}
+
+
 def class_symbols(vocab):
     """The symbols each class tree must give a code, by value kind."""
     return {"word": vocab.words, "tag": vocab.tags,
@@ -106,7 +110,7 @@ def build_class_trees(trees, vocab, config):
     return {
         "word": classtree.build_class_tree(
             symbols["word"], bigrams["word"], config.word_bits,
-            window=window, fallback=UNK),
+            window=window, fallback=CLASS_FALLBACKS["word"]),
         "tag": classtree.build_class_tree(
             symbols["tag"], bigrams["tag"], config.tag_bits, window=window),
         "label": classtree.build_class_tree(

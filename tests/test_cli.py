@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: classes/train/parse/eval/report."""
 
+import dataclasses
 import io
 import json
 import multiprocessing
@@ -15,10 +16,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import toylang
-from dtparser import cli, corpus, modelfile, search
+from dtparser import cli, corpus, modelfile, models, search
 from dtparser.config import Config
 from dtparser.corpus import format_tree, leaves, write_treebank
-from dtparser.errors import DTParserError
+from dtparser.errors import DTParserError, UnknownId
 from dtparser.search import SearchResult
 
 from conftest import toy_config
@@ -493,7 +494,7 @@ def test_config_file_that_is_not_utf8_exits_2(workdir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("setting, message", [
-    ("format=xml", "unknown treebank format 'xml'"),
+    ("format=xml", "setting format='xml' is not a str in {underscore, penn}"),
     ("extension_bits=2", "5 symbols do not fit in a budget of 2 bits"),
 ], ids=["format", "extension-bits"])
 def test_config_value_that_training_rejects_exits_2(workdir, tmp_path, capsys,
@@ -507,15 +508,65 @@ def test_config_value_that_training_rejects_exits_2(workdir, tmp_path, capsys,
     assert not (tmp_path / "m").exists()
 
 
-def test_a_model_that_fails_to_train_is_named(workdir, tmp_path, capsys):
+@pytest.mark.parametrize("command, setting", [
+    ("train", "lambda_max=0"), ("train", "lambda_max=1.0"),
+    ("train", "lambda_max=1.5"), ("train", "lambda_max=nan"),
+    ("train", "unk_threshold=0"), ("train", "u_max=-1"),
+    ("train", "min_gain=-1"), ("train", "min_gain=nan"),
+    ("train", "em_tolerance=-1"), ("train", "cluster_window=0"),
+    ("train", "word_bits=0"), ("train", "tag_bits=0"),
+    ("train", "label_bits=0"), ("train", "word_bits=64"),
+    ("train", "grow_fraction=1.0"), ("train", "format=xml"),
+    ("parse", "--max-hypotheses=0"), ("parse", "--max-hypotheses=-1"),
+    ("parse", "--max-length=-5"), ("parse", "--workers=0"),
+    ("parse", "--workers=-2"), ("parse", "max_length=forty"),
+    ("parse", "--format=xml"),
+])
+def test_a_setting_outside_its_domain_exits_2(workdir, model_path, tmp_path,
+                                              capsys, command, setting):
+    """A flag, or a config file line, outside its setting's domain is
+    refused before any file is written, with a message naming the key."""
+    key = setting.lstrip("-").partition("=")[0].replace("-", "_")
+    flags = [setting]
+    if not setting.startswith("--"):
+        (tmp_path / "bad.conf").write_text(CONFIG_TEXT + setting + "\n")
+        flags = ["--config", str(tmp_path / "bad.conf")]
+    (tmp_path / "in.txt").write_text("the dog runs\n")
+    args = {"train": ["train", str(workdir / "toy.mrg")],
+            "parse": ["parse", model_path, str(tmp_path / "in.txt")]}[command]
+    assert cli.main(args + ["-o", str(tmp_path / "m")] + flags) == \
+        cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert f"dtparser {command}: error: setting {key}=" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "m").exists()
+
+
+def test_a_lambda_cap_below_one_half_trains(workdir, tmp_path):
     conf = tmp_path / "lambda.conf"
-    conf.write_text(CONFIG_TEXT + "lambda_max=1.0\n")
+    conf.write_text(CONFIG_TEXT + "lambda_max=0.3\n")
     assert cli.main(["train", str(workdir / "toy.mrg"), "-o",
                      str(tmp_path / "m"), "--config", str(conf),
-                     "--unk-threshold", "1"]) == cli.EXIT_DATA
-    assert "dtparser train: error: tag model: node " in \
-        capsys.readouterr().err
-    assert not (tmp_path / "m").exists()
+                     "--unk-threshold", "1"]) == cli.EXIT_OK
+    model_set = modelfile.load_model_set(tmp_path / "m")
+    assert all(0.0 <= lam <= 0.3 for model in model_set.models.values()
+               for lam in model.bucket_lambdas.values())
+
+
+def test_a_model_that_fails_to_train_is_named(toy_treebank):
+    """An error raised while one model trains names that model: here a
+    word class tree without the unknown-word fallback meets a word rarer
+    than `unk_threshold`."""
+    config = toy_config().replace(unk_threshold=5)
+    vocab = corpus.build_vocabularies(toy_treebank, config.unk_threshold)
+    class_trees = models.build_class_trees(toy_treebank, vocab, config)
+    class_trees["word"] = dataclasses.replace(class_trees["word"],
+                                              fallback=None)
+    grow, heldout = corpus.split_corpus(toy_treebank, config.grow_fraction,
+                                        config.seed)
+    with pytest.raises(UnknownId, match="^tag model: symbol "):
+        models.train(grow, heldout, config, vocab=vocab,
+                     class_trees=class_trees)
 
 
 def test_renormalize_is_an_unknown_setting(workdir, tmp_path, capsys):
@@ -524,7 +575,8 @@ def test_renormalize_is_an_unknown_setting(workdir, tmp_path, capsys):
     assert cli.main(["train", str(workdir / "toy.mrg"), "-o",
                      str(tmp_path / "m"), "--config", str(conf)]) == \
         cli.EXIT_DATA
-    assert "unknown setting 'renormalize=true'" in capsys.readouterr().err
+    assert f"{conf}:3: unknown setting 'renormalize=true'" in \
+        capsys.readouterr().err
     assert not (tmp_path / "m").exists()
 
 

@@ -15,8 +15,7 @@ from dtparser.corpus import (FORMATS, UNK, RawLeaf, RawTree,
                              read_treebank, sentence_tags, sentence_words,
                              split_corpus, write_treebank)
 from dtparser.errors import (BadSetting, EmptyConstituent, EmptyCorpus,
-                             FractionOutOfRange, MissingTag,
-                             UnbalancedBrackets)
+                             MissingTag, UnbalancedBrackets)
 
 EXAMPLE = """
 (S (N Each_DD1 code_NN1
@@ -295,5 +294,5 @@ def test_split_single_tree_warns(caplog):
 
 def test_split_fraction_out_of_range():
     for bad in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(FractionOutOfRange):
+        with pytest.raises(BadSetting, match="grow_fraction"):
             split_corpus(_numbered(10), bad)

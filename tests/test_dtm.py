@@ -452,6 +452,18 @@ def test_lambda_stays_below_the_cap():
         assert 0.0 <= lam <= CFG.lambda_max
 
 
+@pytest.mark.parametrize("cap", [0.3, 0.1])
+def test_em_under_a_cap_below_one_half_never_loses_likelihood(cap):
+    """EM starts inside its feasible box, so clipping an M-step to the cap
+    cannot lower the held-out likelihood."""
+    schema, tree, _ = em_fixture()
+    greedy = [ev((1,), "x")] * 50 + [ev((2,), "y")] * 37 + [ev((2,), "z")] * 13
+    model = smooth(tree, greedy, schema, CFG.replace(lambda_max=cap))
+    assert len(model.em_log) > 1
+    assert all(b >= a for a, b in zip(model.em_log, model.em_log[1:]))
+    assert all(0.0 <= lam <= cap for lam in model.bucket_lambdas.values())
+
+
 def test_no_heldout_falls_back_to_the_fixed_schedule():
     schema, tree, _ = em_fixture()
     model = smooth(tree, [], schema, CFG)

@@ -354,8 +354,10 @@ def test_old_format_classes_file_exits_2(toy_treebank, classes_saved,
     lambda d: d["vocabularies"].update(words=3),
     lambda d: d["class_trees"].pop("extension"),
     lambda d: d["class_trees"]["tag"]["codes"].pop("DT"),
+    lambda d: d["class_trees"]["word"].update(fallback=None),
+    lambda d: _widen_word_tree(d["class_trees"]),
 ], ids=["missing-vocabularies", "int-words", "missing-extension-tree",
-        "tag-tree-missing-a-tag"])
+        "tag-tree-missing-a-tag", "no-word-fallback", "budget-over-63-bits"])
 def test_broken_classes_file_exits_with_a_data_error(toy_treebank,
                                                      classes_saved, tmp_path,
                                                      capsys, mutate):
@@ -442,6 +444,13 @@ def _first_code(data, kind, value):
     codes[next(iter(codes))] = value
 
 
+def _widen_word_tree(data):
+    """A word tree 70 bits wide, one code using bit 66: wider than the
+    int64 columns that training encodes codes into."""
+    data["word"].update(budget=70, depth=70)
+    _first_code(data, "word", 1 << 66)
+
+
 @pytest.mark.parametrize("kind, mutate", [
     ("tag", lambda d: _first_code(d, "tag", "1")),
     ("tag", lambda d: _first_code(d, "tag", 1.0)),
@@ -450,6 +459,9 @@ def _first_code(data, kind, value):
     ("tag", lambda d: d["tag"].update(depth=d["tag"]["budget"] + 1)),
     ("word", lambda d: d["word"].update(fallback="no such word")),
     ("word", lambda d: d["word"].pop("fallback")),
+    ("word", lambda d: d["word"].update(fallback=None)),
+    ("tag", lambda d: d["tag"].update(fallback="DT")),
+    ("word", _widen_word_tree),
     ("tag", lambda d: d["tag"].update(codes=list(d["tag"]["codes"]))),
     ("tag", lambda d: d["tag"].update(depth="3")),
     ("label", lambda d: d.pop("label")),
@@ -457,6 +469,7 @@ def _first_code(data, kind, value):
         dog=d["word"]["codes"]["the"])),
 ], ids=["string-code", "float-code", "bool-code", "negative-code",
         "depth-over-budget", "uncovered-fallback", "missing-fallback",
+        "no-word-fallback", "tag-fallback", "budget-over-63-bits",
         "codes-as-list", "string-depth", "missing-label-tree",
         "untruncated-shared-code"])
 def test_malformed_class_tree_is_rejected(saved, tmp_path, kind, mutate):
