@@ -11,8 +11,8 @@ Commands::
 Shared flags: ``--format`` (treebank format), ``--seed``, ``--config``
 (key=value file; command-line flags win).  Exit codes: 0 success, 1 usage,
 2 data error (bad input files, input that is not UTF-8, malformed trees,
-model mismatches, a setting outside its domain), 3 internal error, which
-for ``parse`` includes any sentence printed as an ERROR line.
+model mismatches, a setting outside its domain or unlike the ``--classes``
+it fixes), 3 internal error, for ``parse`` any ERROR line printed.
 """
 
 import argparse
@@ -132,8 +132,7 @@ def cmd_classes(args, config, out):
     trees = read_treebank(args.treebank, config.format)
     if not trees:
         raise EmptyCorpus(f"{args.treebank}: no trees")
-    vocab = corpus.build_vocabularies(trees, config.unk_threshold)
-    class_trees = models.build_class_trees(trees, vocab, config)
+    vocab, class_trees = models.build_classes(trees, config)
     save_classes(vocab, class_trees, args.out)
     if args.export_text:
         os.makedirs(args.export_text, exist_ok=True)
@@ -160,16 +159,14 @@ def cmd_train(args, config, out):
     trees = read_treebank(args.treebank, config.format)
     if not trees:
         raise EmptyCorpus(f"{args.treebank}: no trees")
-    vocab = class_trees = None
-    if args.classes:
-        vocab, class_trees = load_classes(args.classes)
+    classes = load_classes(args.classes) if args.classes else None
     heads = (load_head_rules(args.head_rules) if args.head_rules
              else default_head_rules())
 
     grow_trees, smooth_trees = split_corpus(trees, config.grow_fraction,
                                             config.seed)
     model_set = models.train(grow_trees, smooth_trees, config, heads=heads,
-                             vocab=vocab, class_trees=class_trees)
+                             classes=classes)
     save_model_set(model_set, config, args.out)
 
     n_leaves = sum(len(corpus.leaves(t)) for t in trees)

@@ -116,8 +116,8 @@ class ModelSchema:
                     f"history has {len(history)} slots, schema expects {width}")
         vals = np.zeros((len(histories), width), dtype=np.int64)
         nulls = np.zeros((len(histories), width), dtype=bool)
-        for i, (_, vkind) in enumerate(self.slots):
-            column = [history[i] for history in histories]
+        columns = zip(self.slots, zip(*histories))
+        for i, ((_, vkind), column) in enumerate(columns):
             code = (self.encoders[vkind].codes.__getitem__
                     if vkind in CATEGORICAL_KINDS else int)
             vals[:, i] = [0 if value is None else code(value)

@@ -8,9 +8,10 @@ Rule file format, one rule per line::
 priority list: the first listed symbol found among the constituent's child
 symbols wins, scanning the children in the given direction.  If no listed
 symbol matches, the head defaults to the first child in that direction.
-``*`` as PARENT is a wildcard matched when no exact rule exists.  Blank
-lines and ``#`` comments are ignored.  A later rule for the same parent
-shadows an earlier one (with a warning).
+``*`` as PARENT is a wildcard matched when no exact rule exists, and the
+only default; a table without one acts as if it had ``* from-right``.
+Blank lines and ``#`` comments are ignored.  A later rule for the same
+parent shadows an earlier one (with a warning).
 
 Child "symbols" are constituent labels for internal children and part of
 speech tags for word children.
@@ -34,24 +35,23 @@ class HeadRule:
     priorities: tuple
 
 
-class HeadRuleTable:
-    """Rule lookup; falls back to a wildcard rule, then to `from-right`."""
+# The wildcard rule of a table that has none: the rightmost child heads.
+RIGHTMOST = HeadRule(WILDCARD, "from-right", ())
 
-    def __init__(self, rules=(), default_direction="from-right"):
-        if default_direction not in DIRECTIONS:
-            raise ValueError(f"bad default direction {default_direction!r}")
+
+class HeadRuleTable:
+    """Rule lookup; falls back to the wildcard rule, then to `RIGHTMOST`."""
+
+    def __init__(self, rules=()):
         self.rules = {}
-        self.default_direction = default_direction
         for rule in rules:
             if rule.parent in self.rules:
                 log.warning("duplicate head rule for %r; later rule wins", rule.parent)
             self.rules[rule.parent] = rule
 
     def rule_for(self, parent_label):
-        rule = self.rules.get(parent_label)
-        if rule is None:
-            rule = self.rules.get(WILDCARD)
-        return rule
+        rules = self.rules
+        return rules.get(parent_label, rules.get(WILDCARD, RIGHTMOST))
 
     def head_child(self, parent_label, child_symbols):
         """Index of the head among `child_symbols` (labels or tags)."""
@@ -60,19 +60,17 @@ class HeadRuleTable:
         if len(child_symbols) == 1:
             return 0
         rule = self.rule_for(parent_label)
-        direction = rule.direction if rule else self.default_direction
         order = range(len(child_symbols))
-        if direction == "from-right":
+        if rule.direction == "from-right":
             order = range(len(child_symbols) - 1, -1, -1)
-        if rule:
-            for wanted in rule.priorities:
-                for i in order:
-                    if child_symbols[i] == wanted:
-                        return i
+        for wanted in rule.priorities:
+            for i in order:
+                if child_symbols[i] == wanted:
+                    return i
         return next(iter(order))
 
 
-def parse_head_rules(text, default_direction="from-right"):
+def parse_head_rules(text):
     rules = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -85,12 +83,11 @@ def parse_head_rules(text, default_direction="from-right"):
         if direction not in DIRECTIONS:
             raise BadRuleSyntax(lineno, f"bad direction {direction!r}, expected one of {DIRECTIONS}")
         rules.append(HeadRule(parent=parent, direction=direction, priorities=tuple(children)))
-    return HeadRuleTable(rules, default_direction=default_direction)
+    return HeadRuleTable(rules)
 
 
-def load_head_rules(path, default_direction="from-right"):
-    return parse_head_rules(read_text(path),
-                            default_direction=default_direction)
+def load_head_rules(path):
+    return parse_head_rules(read_text(path))
 
 
 def default_head_rules():

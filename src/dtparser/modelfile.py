@@ -22,7 +22,7 @@ from . import derivation, dtm
 from .classtree import MAX_BITS, ClassTree
 from .corpus import UNK, Vocabularies
 from .errors import DegenerateDistribution, ModelFileError, read_text
-from .headfinder import DIRECTIONS, HeadRule, HeadRuleTable
+from .headfinder import DIRECTIONS, RIGHTMOST, HeadRule, HeadRuleTable
 from .models import (CLASS_FALLBACKS, SCHEMA_VERSION, ModelSet,
                      class_symbols, make_schema)
 
@@ -140,7 +140,7 @@ def _classtree_from(data, what, symbols, expected_fallback):
 
 def _head_rules_data(heads):
     return {
-        "default_direction": heads.default_direction,
+        "default_direction": RIGHTMOST.direction,
         "rules": [[r.parent, r.direction, list(r.priorities)]
                   for r in heads.rules.values()],
     }
@@ -149,9 +149,9 @@ def _head_rules_data(heads):
 def _head_rules_from(data):
     what = "head rules"
     default = _field(data, "default_direction", str, what)
-    if default not in DIRECTIONS:
+    if default != RIGHTMOST.direction:  # only a `*` rule sets another
         raise ModelFileError(f"{what} default direction {default!r} is not "
-                             f"one of {'/'.join(DIRECTIONS)}")
+                             f"{RIGHTMOST.direction!r} as training writes")
     rules = _field(data, "rules", list, what)
     for rule in rules:
         if not (isinstance(rule, list) and len(rule) == 3
@@ -162,7 +162,7 @@ def _head_rules_from(data):
                 f"{what} entry {rule!r} is not [parent, "
                 f"{'/'.join(DIRECTIONS)}, [child, ...]]")
     return HeadRuleTable([HeadRule(parent, direction, tuple(children))
-                          for parent, direction, children in rules], default)
+                          for parent, direction, children in rules])
 
 
 def _model_data(model):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from . import classtree, derivation, dtm
 from .corpus import (UNK, RawLeaf, build_vocabularies, internal_nodes,
                      sentence_tags, sentence_words)
-from .errors import DTParserError, IllegalAction
+from .errors import BadSetting, DTParserError, IllegalAction
 from .headfinder import default_head_rules
 
 log = logging.getLogger(__name__)
@@ -94,8 +94,10 @@ def class_symbols(vocab):
             "extension": derivation.EXTENSIONS}
 
 
-def build_class_trees(trees, vocab, config):
-    """Word, tag, label and extension class trees from training bigrams."""
+def build_classes(trees, config):
+    """The vocabularies of `trees`, and word, tag, label and extension
+    class trees from their bigrams."""
+    vocab = build_vocabularies(trees, config.unk_threshold)
     bigrams = {"word": Counter(), "tag": Counter(), "label": Counter()}
     for tree in trees:
         runs = [("word", [vocab.word_symbol(w) for w in sentence_words(tree)]),
@@ -107,7 +109,7 @@ def build_class_trees(trees, vocab, config):
             bigrams[kind].update(zip(run, run[1:]))
     window = config.cluster_window
     symbols = class_symbols(vocab)
-    return {
+    return vocab, {
         "word": classtree.build_class_tree(
             symbols["word"], bigrams["word"], config.word_bits,
             window=window, fallback=CLASS_FALLBACKS["word"]),
@@ -137,18 +139,22 @@ def _encode_corpus(trees, ctx, what):
     return routed
 
 
-def train(grow_trees, smooth_trees, config, heads=None, vocab=None,
-          class_trees=None):
+def train(grow_trees, smooth_trees, config, heads=None, classes=None):
     """Train tag/label/extension models from an already split corpus.
 
-    Vocabularies and class trees are built from the union of both splits
-    unless supplied (e.g. preserved from a `classes` run).
+    `classes` is the (vocabularies, class trees) pair `build_classes`
+    builds from the union of both splits, unless given (as
+    `modelfile.load_classes` returns it).  The classes fix
+    `unk_threshold` and each `*_bits` setting: one that `config` states
+    otherwise raises BadSetting.
     """
     all_trees = list(grow_trees) + list(smooth_trees)
-    if vocab is None:
-        vocab = build_vocabularies(all_trees, config.unk_threshold)
-    if class_trees is None:
-        class_trees = build_class_trees(all_trees, vocab, config)
+    vocab, class_trees = classes or build_classes(all_trees, config)
+    fixed = {f"{kind}_bits": tree.budget for kind, tree in class_trees.items()}
+    for key, value in {"unk_threshold": vocab.unk_threshold, **fixed}.items():
+        if getattr(config, key) != value:
+            raise BadSetting(f"setting {key}={getattr(config, key)!r}, but "
+                             f"the classes were built with {key}={value!r}")
     if heads is None:
         heads = default_head_rules()
     u_max = config.u_max if config.u_max > 0 else observed_u_max(all_trees)

@@ -189,8 +189,7 @@ def parse(model_set, words, config):
                     heapq.heappush(heap, (-(entry[0] + entry[1]),
                                           next(ticket), entry))
             if len(heap) > config.max_hypotheses:
-                return _memory_fallback(model_set, [item[2] for item in heap],
-                                        best, expanded)
+                return _memory_fallback(model_set, heap, best, expanded)
         hyp = None
         while heap:
             priority, _, entry = heapq.heappop(heap)
@@ -210,11 +209,12 @@ def parse(model_set, words, config):
 _MAX_ROLLOUTS = 64
 
 
-def _memory_fallback(model_set, pool, best, expanded):
+def _memory_fallback(model_set, heap, best, expanded):
     """Out of memory budget: greedily finish the most promising live entry
-    of `pool` so the caller still gets a parse, flagged as a search error.
-    Entries roll out by falling log probability, equal ones in pool order."""
-    for entry in sorted(pool, key=itemgetter(0), reverse=True)[:_MAX_ROLLOUTS]:
+    of `heap` so the caller still gets a parse, flagged as a search error.
+    Entries roll out by falling log probability, equal ones in list order."""
+    pool = (item[2] for item in heap)
+    for entry in heapq.nlargest(_MAX_ROLLOUTS, pool, key=itemgetter(0)):
         hyp = _record(entry)
         while hyp is not None and not hyp.state.complete:
             expanded += 1

@@ -558,15 +558,40 @@ def test_a_model_that_fails_to_train_is_named(toy_treebank):
     word class tree without the unknown-word fallback meets a word rarer
     than `unk_threshold`."""
     config = toy_config().replace(unk_threshold=5)
-    vocab = corpus.build_vocabularies(toy_treebank, config.unk_threshold)
-    class_trees = models.build_class_trees(toy_treebank, vocab, config)
+    vocab, class_trees = models.build_classes(toy_treebank, config)
     class_trees["word"] = dataclasses.replace(class_trees["word"],
                                               fallback=None)
     grow, heldout = corpus.split_corpus(toy_treebank, config.grow_fraction,
                                         config.seed)
     with pytest.raises(UnknownId, match="^tag model: symbol "):
-        models.train(grow, heldout, config, vocab=vocab,
-                     class_trees=class_trees)
+        models.train(grow, heldout, config, classes=(vocab, class_trees))
+
+
+@pytest.mark.parametrize("setting", [
+    "--unk-threshold=3", "unk_threshold=2", "word_bits=12", "tag_bits=9",
+    "label_bits=7", "extension_bits=4",
+])
+def test_a_setting_the_classes_file_fixes_must_match_it(workdir, tmp_path,
+                                                       capsys, setting):
+    """The classes file was built with unk_threshold 1 and the default
+    bit budgets, which fix the vocabulary and the codes; training through
+    it with another value is refused before any file is written, with a
+    message naming the key and both values."""
+    key, _, value = setting.lstrip("-").replace("-", "_").partition("=")
+    flag = setting.startswith("--")
+    conf = tmp_path / "other.conf"
+    conf.write_text(CONFIG_TEXT + "unk_threshold=1\n"
+                    + ("" if flag else setting + "\n"))
+    built = 1 if key == "unk_threshold" else getattr(Config(), key)
+    assert cli.main(["train", str(workdir / "toy.mrg"), "-o",
+                     str(tmp_path / "m"), "--config", str(conf),
+                     "--classes", str(workdir / "toy.classes")]
+                    + ([setting] if flag else [])) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert (f"dtparser train: error: setting {key}={value}, but the classes "
+            f"were built with {key}={built}") in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "m").exists()
 
 
 def test_renormalize_is_an_unknown_setting(workdir, tmp_path, capsys):

@@ -21,8 +21,11 @@ def test_default_table_heads_rightmost():
 
 
 def test_default_direction_from_left():
-    table = HeadRuleTable((), default_direction="from-left")
+    """A `*` rule is the one way to set the direction of a constituent
+    no other rule names."""
+    table = parse_head_rules("* from-left\nS from-right\n")
     assert table.head_child("ANY", ["A", "B", "C"]) == 0
+    assert table.head_child("S", ["A", "B", "C"]) == 2
 
 
 def test_priority_list_wins_over_position():
@@ -83,5 +86,3 @@ def test_empty_rule_file_heads_rightmost(tmp_path):
 def test_no_children_is_an_error():
     with pytest.raises(ValueError):
         default_head_rules().head_child("X", [])
-    with pytest.raises(ValueError):
-        HeadRuleTable((), default_direction="upwards")

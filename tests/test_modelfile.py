@@ -403,11 +403,13 @@ def test_classes_file_rejects_codes_beyond_the_depth(classes_saved, tmp_path):
      "default direction 'sideways'"),
     ("head_rules", lambda d: d.pop("default_direction"),
      "'default_direction'"),
+    ("head_rules", lambda d: d.update(default_direction="from-left"),
+     "default direction 'from-left' is not 'from-right'"),
 ], ids=["missing-words", "int-words", "negative-word-count", "bare-word",
         "unk-not-first", "string-tags", "int-label", "null-unk-threshold",
         "repeated-word", "repeated-unk", "repeated-tag", "repeated-label",
         "missing-rules", "int-rule", "sideways-rule", "string-children",
-        "sideways-default", "missing-default"])
+        "sideways-default", "missing-default", "from-left-default"])
 def test_broken_vocabularies_or_head_rules_exit_with_a_data_error(
         saved, tmp_path, capsys, section, mutate, message):
     path = _resealed(saved, tmp_path, section, mutate)
