@@ -23,7 +23,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 
-from . import corpus, models, parseval, search
+from . import corpus, dtm, models, parseval, search
 from .config import Config, load_config
 from .corpus import read_treebank, split_corpus
 from .errors import AlignmentMismatch, DTParserError, EmptyCorpus, decode_utf8
@@ -178,7 +178,14 @@ def cmd_train(args, config, out):
     print(f"extension events: {n_leaves + n_internal}", file=out)
     for kind in ("tag", "label", "extension"):
         model = model_set.models[kind]
-        note = "" if model.heldout_used else " (fixed lambdas: no heldout events)"
+        if not model.heldout_used:
+            note = " (fixed lambdas: no heldout events)"
+        else:
+            stop = ("met em_tolerance"
+                    if dtm.em_converged(model.em_log, config.em_tolerance)
+                    else f"stopped at em_max_iterations="
+                         f"{config.em_max_iterations}")
+            note = f", {len(model.em_log)} EM iterations ({stop})"
         print(f"{kind} model: {len(model.nodes)} nodes, "
               f"{len(model.bucket_lambdas)} lambda buckets{note}", file=out)
     print(f"unary chain cap: {model_set.u_max}", file=out)

@@ -18,7 +18,12 @@ relative-frequency distribution with its parent's smoothed distribution,
 with the uniform distribution standing in as the root's parent so every
 future keeps nonzero probability.  The lambdas are tied across nodes in
 buckets of floor(log2(training count)) and fit by expectation
-maximisation on held-out events.
+maximisation on held-out events.  `smooth` walks each held-out event to
+its leaf once, groups the events by (leaf, future), and lays the groups'
+root-to-leaf paths out as rows of one padded matrix; each EM iteration
+is then a fixed number of whole-array passes over every group at once,
+summed in the order that keeps the lambdas bit-identical to fitting one
+group at a time (see `smooth`).
 
 Growing encodes every slot of every event at once, column by column
 (`encode_histories`): an int code array and a nulls mask that marks the
@@ -446,6 +451,14 @@ def interpolate(tree, bucket_lambdas):
     return rows
 
 
+def em_converged(em_log, tolerance):
+    """Whether the last iteration of `em_log` moved the held-out
+    log-likelihood by at most `tolerance`, relative to the iteration
+    before it: the test on which EM stops short of `em_max_iterations`."""
+    return len(em_log) > 1 and abs(em_log[-1] - em_log[-2]) <= \
+        tolerance * max(1.0, abs(em_log[-2]))
+
+
 def smooth(tree, heldout_events, schema, config):
     """Fit bucketed interpolation weights on held-out events by EM, and
     smooth FlatTree `tree` with them.
@@ -454,6 +467,29 @@ def smooth(tree, heldout_events, schema, config):
     count-based schedule and the model is flagged (`heldout_used`).
     The held-out log-likelihood is non-decreasing across iterations;
     this is asserted.
+
+    Held-out events are grouped by (leaf, future), so EM's cost scales
+    with the groups, not the events.  Every iteration is a fixed number of
+    whole-array passes over all groups at once, each group one row of the
+    same width: its path's nodes from the root down, right-aligned, behind
+    padding that reads a lambda of 0 from an extra bucket.  Four rules
+    keep the sums, and so the lambdas and `em_log`, bit-identical to
+    fitting one group at a time:
+
+    * a group's mixture sums its row's real positions alone, one path
+      length at a time, since numpy's pairwise sum adds in order below 8
+      terms and through 8 accumulators from 8 up, and padding would
+      regroup the terms;
+    * the products of (1 - lambda) below each node are one
+      `np.multiply.accumulate` from the leaf up, the padding adding
+      factors of 1.0 after the root;
+    * the log-likelihood adds each group's `math.log` in group order;
+    * the expected counts per bucket are one `np.add.at` over the rows
+      flattened root to leaf, group by group: the order of adding each
+      group's path in turn.
+
+    `tests/reference.py`'s `reference_em` fits the groups one at a time;
+    the tests hold the two equal as `float.hex`.
     """
     buckets = sorted({count_bucket(n) for n in tree.nodes})
     if not heldout_events:
@@ -462,57 +498,76 @@ def smooth(tree, heldout_events, schema, config):
         lambdas = {b: 2.0 ** b / (2.0 ** b + _FALLBACK_PIVOT) for b in buckets}
         return SmoothedModel(schema, tree, lambdas, heldout_used=False)
 
-    # Group held-out events by (leaf, future); EM cost then scales with the
-    # number of distinct groups, not events.
     groups = {}
     for event in heldout_events:
         key = (walk(tree, event.history), schema.future_index[event.future])
         groups[key] = groups.get(key, 0) + 1
 
-    # Per reached leaf, for its path's nodes from the root down: their
-    # relative frequencies and the positions of their buckets' lambdas.
-    bucket_pos = {b: i for i, b in enumerate(buckets)}
+    # Per reached leaf, its path's nodes from the root down.
     paths = {}
-    for leaf_id in {leaf_id for leaf_id, _ in groups}:
-        path = [leaf_id]
-        while tree.parent[path[0]] >= 0:
-            path.insert(0, tree.parent[path[0]])
-        paths[leaf_id] = (
-            np.stack([tree.nodes[i].empirical() for i in path]),
-            np.array([bucket_pos[count_bucket(tree.nodes[i])] for i in path]))
+    for leaf_id, _ in groups:
+        if leaf_id not in paths:
+            path = [leaf_id]
+            while (parent := tree.parent[path[-1]]) >= 0:
+                path.append(parent)
+            path.reverse()
+            paths[leaf_id] = path
 
-    lam = np.full(len(buckets), min(0.5, config.lambda_max))
+    # One row per group: the relative frequency of its future at each node
+    # of its path, and the position of the node's bucket's lambda, right-
+    # aligned behind padding at position `pad`, whose lambda is 0.
+    pad = len(buckets)
+    bucket_pos = {b: i for i, b in enumerate(buckets)}
+    width = max(map(len, paths.values()))
+    emp = np.zeros((len(groups), width))
+    slots = np.full((len(groups), width), pad)
+    rows_by_length = {}
+    for g, (leaf_id, future) in enumerate(groups):
+        path = paths[leaf_id]
+        emp[g, width - len(path):] = [
+            tree.nodes[i].empirical()[future] for i in path]
+        slots[g, width - len(path):] = [
+            bucket_pos[count_bucket(tree.nodes[i])] for i in path]
+        rows_by_length.setdefault(len(path), []).append(g)
+    rows_by_length = [(n, np.array(rows)) for n, rows in rows_by_length.items()]
+    slots = slots.ravel()
+    counts = list(groups.values())
+    count_col = np.array(counts, dtype=float)[:, None]
+    leaf_col = np.ones((len(groups), 1))
+
+    # The padding takes no responsibility, so its lambda stays 0.
+    lam = np.full(len(buckets) + 1, min(0.5, config.lambda_max))
+    lam[pad] = 0.0
     uniform = 1.0 / len(schema.futures)
     em_log = []
     for _ in range(config.em_max_iterations):
-        num = np.zeros(len(buckets))
-        den = np.zeros(len(buckets))
+        lam_path = lam[slots].reshape(emp.shape)
+        # suffix[:, j] = prod_{i>=j}(1-lam); deeper[:, j] = prod_{i>j}(1-lam)
+        suffix = np.multiply.accumulate((1.0 - lam_path)[:, ::-1],
+                                        axis=1)[:, ::-1]
+        deeper = np.concatenate((suffix[:, 1:], leaf_col), axis=1)
+        contrib = lam_path * deeper * emp
+        mix = np.empty(len(groups))
+        for n, rows in rows_by_length:
+            mix[rows] = contrib[rows, width - n:].sum(axis=1)
+        rest = suffix[:, 0] * uniform
+        mix += rest
         ll = 0.0
-        for (leaf_id, future), count in groups.items():
-            emp_rows, slots = paths[leaf_id]
-            lam_path = lam[slots]
-            one_minus = 1.0 - lam_path
-            suffix = np.cumprod(one_minus[::-1])[::-1]  # prod_{i>=j}(1-lam)
-            deeper = np.append(suffix[1:], 1.0)         # prod_{i>j}(1-lam)
-            weights = lam_path * deeper
-            emp = emp_rows[:, future]
-            contrib = weights * emp
-            mix = contrib.sum() + suffix[0] * uniform
-            ll += count * math.log(mix)
-            resp = contrib / mix
-            resp_uniform = suffix[0] * uniform / mix
-            visited = resp_uniform + np.cumsum(resp)
-            np.add.at(num, slots, count * resp)
-            np.add.at(den, slots, count * visited)
+        for count, m in zip(counts, mix.tolist()):
+            ll += count * math.log(m)
+        resp = contrib / mix[:, None]
+        visited = (rest / mix)[:, None] + np.cumsum(resp, axis=1)
+        num = np.zeros(len(lam))
+        den = np.zeros(len(lam))
+        np.add.at(num, slots, (count_col * resp).ravel())
+        np.add.at(den, slots, (count_col * visited).ravel())
         if em_log:
             assert ll >= em_log[-1] - 1e-9 * max(1.0, abs(em_log[-1])), \
                 "EM held-out log-likelihood decreased"
-        done = bool(em_log) and \
-            abs(ll - em_log[-1]) <= config.em_tolerance * max(1.0, abs(em_log[-1]))
         em_log.append(ll)
         lam = np.where(den > 0, np.clip(num / np.maximum(den, 1e-300), 0.0,
                                         config.lambda_max), lam)
-        if done:
+        if em_converged(em_log, config.em_tolerance):
             break
     bucket_lambdas = {b: float(lam[bucket_pos[b]]) for b in buckets}
     return SmoothedModel(schema, tree, bucket_lambdas, heldout_used=True,

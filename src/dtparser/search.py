@@ -27,7 +27,10 @@ equal-scoring partials alive so the tie-break is exact.
 If the number of live hypotheses ever exceeds `max_hypotheses` the
 search stops certifying and instead greedily rolls the best live
 hypothesis out to a completion, reporting `search-error-memory` (with a
-parse whenever one can still be finished).
+parse whenever one can still be finished).  The rollout's greedy step
+breaks equal log probabilities toward the lexicographically largest
+action value, unlike the exact search and `exhaustive_parse`, which break
+them toward the smallest.
 
 `exhaustive_parse` is an independent check on all of this: a plain
 depth-first enumeration of every legal decision sequence with only the

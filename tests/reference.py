@@ -5,13 +5,15 @@ faster or does not need: the tests compare the package against them, or
 build fixtures with them.
 """
 
+import math
+
 import numpy as np
 
 from dtparser.classtree import _loss_context, _merge_loss_row, _mi_terms
 from dtparser.corpus import RawLeaf
 from dtparser.derivation import (KIND_LABEL, KIND_TAG, TAG_LABEL, _pending,
                                  apply_action, initial_state, to_raw_tree)
-from dtparser.dtm import DTNode, FlatTree, _entropy_bits
+from dtparser.dtm import DTNode, FlatTree, _entropy_bits, count_bucket, walk
 from dtparser.errors import IllegalAction, NoEvents
 
 
@@ -81,6 +83,59 @@ def as_forced_order_tree(schema, questions, events):
         return node, ((idx[mask], qpos + 1), (idx[~mask], qpos + 1))
 
     return FlatTree.build(schema, split, (np.arange(len(events)), 0))
+
+
+def reference_em(tree, heldout_events, schema, config):
+    """`dtm.smooth`'s EM fit one (leaf, future) group at a time: the
+    bucket lambdas, keyed by count bucket, and the held-out
+    log-likelihood of every iteration.  `heldout_events` is not empty."""
+    buckets = sorted({count_bucket(n) for n in tree.nodes})
+    groups = {}
+    for event in heldout_events:
+        key = (walk(tree, event.history), schema.future_index[event.future])
+        groups[key] = groups.get(key, 0) + 1
+
+    bucket_pos = {b: i for i, b in enumerate(buckets)}
+    paths = {}
+    for leaf_id in {leaf_id for leaf_id, _ in groups}:
+        path = [leaf_id]
+        while tree.parent[path[0]] >= 0:
+            path.insert(0, tree.parent[path[0]])
+        paths[leaf_id] = (
+            np.stack([tree.nodes[i].empirical() for i in path]),
+            np.array([bucket_pos[count_bucket(tree.nodes[i])] for i in path]))
+
+    lam = np.full(len(buckets), min(0.5, config.lambda_max))
+    uniform = 1.0 / len(schema.futures)
+    em_log = []
+    for _ in range(config.em_max_iterations):
+        num = np.zeros(len(buckets))
+        den = np.zeros(len(buckets))
+        ll = 0.0
+        for (leaf_id, future), count in groups.items():
+            emp_rows, slots = paths[leaf_id]
+            lam_path = lam[slots]
+            one_minus = 1.0 - lam_path
+            suffix = np.cumprod(one_minus[::-1])[::-1]  # prod_{i>=j}(1-lam)
+            deeper = np.append(suffix[1:], 1.0)         # prod_{i>j}(1-lam)
+            weights = lam_path * deeper
+            emp = emp_rows[:, future]
+            contrib = weights * emp
+            mix = contrib.sum() + suffix[0] * uniform
+            ll += count * math.log(mix)
+            resp = contrib / mix
+            resp_uniform = suffix[0] * uniform / mix
+            visited = resp_uniform + np.cumsum(resp)
+            np.add.at(num, slots, count * resp)
+            np.add.at(den, slots, count * visited)
+        done = bool(em_log) and abs(ll - em_log[-1]) <= \
+            config.em_tolerance * max(1.0, abs(em_log[-1]))
+        em_log.append(ll)
+        lam = np.where(den > 0, np.clip(num / np.maximum(den, 1e-300), 0.0,
+                                        config.lambda_max), lam)
+        if done:
+            break
+    return {b: float(lam[bucket_pos[b]]) for b in buckets}, em_log
 
 
 def replay(words, actions, ctx):

@@ -117,6 +117,30 @@ def test_train_summary(workdir, toy_treebank, capsys, tmp_path):
     assert out.count("lambda buckets") == 3
 
 
+def _em_endings(out):
+    """(iterations, how EM ended) of each `<kind> model:` line of `out`."""
+    return {kind: (int(n), stop) for kind, n, stop in re.findall(
+        r"^(\w+) model: .*, (\d+) EM iterations \((.*)\)$", out, re.M)}
+
+
+def test_train_reports_how_em_ended(workdir, capsys, tmp_path):
+    """On the toy treebank EM meets its tolerance on every model; with
+    em_max_iterations=5 it stops at that cap on every model."""
+    assert cli.main(["train", str(workdir / "toy.mrg"), "-o",
+                     str(tmp_path / "m")] + _flags(workdir)) == 0
+    assert _em_endings(capsys.readouterr().out) == {
+        "tag": (28, "met em_tolerance"), "label": (22, "met em_tolerance"),
+        "extension": (47, "met em_tolerance")}
+    conf = tmp_path / "capped.conf"
+    conf.write_text(CONFIG_TEXT + "em_max_iterations=5\n")
+    assert cli.main(["train", str(workdir / "toy.mrg"), "-o",
+                     str(tmp_path / "capped"), "--config", str(conf),
+                     "--seed", "13", "--unk-threshold", "1"]) == 0
+    capped = (5, "stopped at em_max_iterations=5")
+    assert _em_endings(capsys.readouterr().out) == dict.fromkeys(
+        ("tag", "label", "extension"), capped)
+
+
 def test_train_matches_the_library_path(workdir, toy_model_set, tmp_path):
     direct = tmp_path / "direct.model"
     modelfile.save_model_set(toy_model_set, toy_config(), direct)

@@ -18,7 +18,7 @@ from dtparser.dtm import (SIZE_THRESHOLDS, DTNode, FlatTree, ModelSchema,
                           interpolate, iter_nodes, smooth, walk)
 from dtparser.errors import NoEvents, SlotLayoutMismatch
 
-from reference import as_forced_order_tree, reference_grow
+from reference import as_forced_order_tree, reference_em, reference_grow
 
 CFG = Config(min_events=2, min_gain=0.01)
 
@@ -470,6 +470,118 @@ def test_no_heldout_falls_back_to_the_fixed_schedule():
     assert not model.heldout_used
     assert model.em_log == []
     assert model.bucket_lambdas == {3: 8 / 16, 4: 16 / 24}
+
+
+def _hex_fit(lambdas, em_log):
+    return ({b: lam.hex() for b, lam in lambdas.items()},
+            [ll.hex() for ll in em_log])
+
+
+def assert_em_matches_the_oracle(tree, heldout, schema, config):
+    model = smooth(tree, heldout, schema, config)
+    assert _hex_fit(model.bucket_lambdas, model.em_log) == \
+        _hex_fit(*reference_em(tree, heldout, schema, config))
+    return model
+
+
+def path_lengths(tree, events):
+    """The number of nodes on the root-to-leaf path of each event."""
+    lengths = set()
+    for event in events:
+        i, n = walk(tree, event.history), 1
+        while (i := tree.parent[i]) >= 0:
+            n += 1
+        lengths.add(n)
+    return lengths
+
+
+EM_LEVELS = 20
+EM_SCHEMA_SLOTS = tuple(f"A{k}" for k in range(EM_LEVELS))
+EM_GROW = Config(min_events=1, min_gain=0.0)
+
+
+def one_hot(level):
+    return [1 + (k == level) for k in range(EM_LEVELS)]
+
+
+def caterpillar_tree(levels, futures):
+    """The tree `grow` grows from events whose history is 2 in the slot of
+    their level and 1 elsewhere, with the futures `levels[j]` at level j.
+    The only questions that split such events set one level apart from
+    the rest, so the tree is a spine that sheds a level at every node, and
+    its paths run up to one node per level."""
+    schema = numeric_schema(*EM_SCHEMA_SLOTS, futures=futures)
+    events = [ev(one_hot(j), future)
+              for j, level in enumerate(levels) for future in level]
+    return schema, grow(events, schema, EM_GROW)
+
+
+@st.composite
+def em_cases(draw):
+    """A caterpillar tree of up to 20 levels, each with a future of its
+    own and a few drawn ones, and held-out events for it: most at one
+    level, so that they follow the spine, and some anywhere."""
+    n_levels = draw(st.integers(1, EM_LEVELS))
+    futures = tuple(f"f{j}" for j in range(max(2, n_levels)))
+    levels = [[futures[j]] * draw(st.integers(1, 3))
+              + draw(st.lists(st.sampled_from(futures), max_size=2))
+              for j in range(n_levels)]
+    schema, tree = caterpillar_tree(levels, futures)
+    history = st.one_of(
+        st.builds(one_hot, st.integers(0, n_levels - 1)),
+        st.lists(st.sampled_from([1, 2, None]),
+                 min_size=EM_LEVELS, max_size=EM_LEVELS))
+    heldout = draw(st.lists(st.builds(ev, history, st.sampled_from(futures)),
+                            min_size=1, max_size=40))
+    return schema, tree, heldout
+
+
+@settings(max_examples=25, deadline=None)
+@given(em_cases(), st.sampled_from([0, 1, 2, 7, 40]),
+       st.sampled_from([0.1, 0.3, 0.5, 0.9, 1.0 - 1e-4]),
+       st.sampled_from([0.0, 1e-6, 1e-3]))
+def test_em_equals_the_per_group_oracle(case, iterations, cap, tolerance):
+    """Fitting every (leaf, future) group at once gives the lambdas and
+    log-likelihoods, float for float, of fitting them one at a time."""
+    schema, tree, heldout = case
+    assert_em_matches_the_oracle(tree, heldout, schema, CFG.replace(
+        em_max_iterations=iterations, lambda_max=cap, em_tolerance=tolerance))
+
+
+def deep_em_fixture():
+    """A 20-level caterpillar with a future of its own per level, and
+    held-out events whose paths run from under 8 nodes to over 16, across
+    the lengths where numpy's sums change scheme."""
+    rng = random.Random(23)
+    futures = tuple(f"f{j}" for j in range(EM_LEVELS))
+    schema, tree = caterpillar_tree(
+        [[future] * (1 + j % 3) for j, future in enumerate(futures)], futures)
+    heldout = [ev(one_hot(j), rng.choice(futures))
+               for j in range(EM_LEVELS) for _ in range(rng.randrange(1, 6))]
+    return schema, tree, heldout
+
+
+@pytest.mark.parametrize("override", [
+    {}, {"em_max_iterations": 0}, {"em_max_iterations": 1},
+    {"lambda_max": 0.1}, {"lambda_max": 0.3}, {"em_tolerance": 0.0}])
+def test_em_equals_the_oracle_on_deep_paths(override):
+    schema, tree, heldout = deep_em_fixture()
+    lengths = path_lengths(tree, heldout)
+    assert min(lengths) < 8 and any(8 <= n < 16 for n in lengths) \
+        and max(lengths) > 16
+    model = assert_em_matches_the_oracle(tree, heldout, schema,
+                                         CFG.replace(**override))
+    if "em_max_iterations" in override:
+        assert len(model.em_log) == override["em_max_iterations"]
+
+
+def test_em_equals_the_oracle_on_a_root_only_tree():
+    schema, tree = caterpillar_tree([["x"], ["x", "x"]], ("x", "y", "z"))
+    assert len(tree.nodes) == 1
+    heldout = [ev(one_hot(j), future)
+               for j, future in enumerate("xyzzyxxx")]
+    model = assert_em_matches_the_oracle(tree, heldout, schema, CFG)
+    assert len(model.em_log) > 1
 
 
 def test_predict_walks_to_the_right_leaf():
