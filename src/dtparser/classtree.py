@@ -32,8 +32,8 @@ from .errors import BadSetting, EmptyVocabulary, UnknownId
 
 log = logging.getLogger(__name__)
 
-# The widest code: `dtm.ModelSchema.encode_histories` stores codes in an
-# int64 column, whose sign bit leaves 63 bits.
+# The widest code: `dtm` stores codes in int64 columns, whose sign bit
+# leaves 63 bits.
 MAX_BITS = 63
 
 

@@ -21,12 +21,13 @@ tag are copied from the head child, which the head rules pick once the
 parent's label is known.
 
 Every decision is recorded as a DerivationEvent carrying the decision
-kind, the conditioning history and the chosen value, so a tree and its
-event sequence determine each other exactly.  A tree's decisions are its
-postorder: a word's tag, or a constituent's label after all of its
-children, each followed by the node's extension, which its position
-among its siblings fixes.  `replay` steps through that postorder, checks
-that each action is legal, and is what `encode` and `derivation_logprob` read.
+kind, the rows of its conditioning history and the chosen value, so a
+tree and its event sequence determine each other exactly.  A tree's
+decisions are its postorder: a word's tag, or a constituent's label
+after all of its children, each followed by the node's extension, which
+its position among its siblings fixes.  `replay` steps through that
+postorder, checks that each action is legal, and is what `encode` and
+`derivation_logprob` read.
 
 History slot layout
 -------------------
@@ -48,10 +49,19 @@ first also ``TAG_LABEL``.
 
 One table, `_LAYOUT`, says for each decision kind where each queried node
 is found and which of those cases it is, and every reader of the layout
-is generated from it: `slot_layout`'s names, `extract_history`'s rows,
-with which `encode` turns treebank trees into training events,
-`HistoryView`'s reader per slot, through which search's tree walks read
-only the slots they ask, and `word_histories`, which bounds the search.
+is generated from it: `slot_layout`'s names and `slot_sources`' (node,
+feature) place of each slot; the row readers, with which `encode` turns
+treebank trees into training events and `extract_history` writes out a
+history whole; `HistoryView`'s reader per slot, through which search's
+tree walks read only the slots they ask; and `word_histories`, which
+bounds the search.
+
+An event holds its history as rows, not slots: the index of each
+queried node's row in a `RowTable`, which holds each distinct row once,
+so a corpus's rows are encoded once and every model's slot columns are
+gathered from those codes (`dtm.encode_rows`, `dtm.ModelSchema.gather`).
+`RowView` reads an event's slots from its rows, as `HistoryView` reads a
+state's, and `DerivationEvent.history` writes them out as a tuple.
 
 Nodes and states are immutable named tuples, so successor states share
 every node they do not change.
@@ -59,6 +69,7 @@ every node they do not change.
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .corpus import RawLeaf, RawTree, fold, sentence_words
@@ -112,11 +123,22 @@ class DerivationState(NamedTuple):
     complete: bool
 
 
-@dataclass(frozen=True)
-class DerivationEvent:
+class DerivationEvent(NamedTuple):
+    """One decision of a derivation: its kind, the rows its history reads,
+    as indices into `table` in the layout's node order, and the value
+    taken."""
+
     kind: str
-    history: tuple
+    rows: tuple
     future: str
+    table: object  # RowTable
+
+    @property
+    def history(self):
+        """The history as a tuple of slots, the event's rows expanded:
+        `extract_history` of the state the decision was taken in."""
+        rows = self.table.rows
+        return tuple(chain.from_iterable(rows[i] for i in self.rows))
 
 
 def initial_state(words, ctx):
@@ -320,11 +342,24 @@ _SLOTS = {kind: tuple(read for _, _, slots in readers for read in slots)
 _NAMES = {kind: tuple((f"{node}.{feat}", vkind) for node, _, slots in readers
                       for (feat, vkind), _ in zip(_FEATURES.items(), slots))
           for kind, readers in _READERS.items()}
+# Per kind: each slot's (queried node, feature) position in its rows.
+_SOURCES = {kind: tuple((n, f) for n, (_, _, slots) in enumerate(readers)
+                        for f in range(len(slots)))
+            for kind, readers in _READERS.items()}
+
+# The value kind of each feature of a row, in row order.
+ROW_KINDS = tuple(_FEATURES.values())
 
 
 def slot_layout(kind):
     """The (name, value kind) pairs of every history slot, in order."""
     return _NAMES[kind]
+
+
+def slot_sources(kind):
+    """The (node, feature) pair of every history slot, in order: slot i
+    of an event's history is feature f of its row n."""
+    return _SOURCES[kind]
 
 
 def _pending(state, kind):
@@ -431,12 +466,53 @@ def replay(tree, ctx):
         state = after
 
 
-def encode(tree, ctx):
+class RowTable:
+    """The distinct rows that encoded events read, each held once: `rows`
+    in the order first read, so an event's row indices are stable as the
+    table grows."""
+
+    __slots__ = ("rows", "_index")
+
+    def __init__(self):
+        self.rows = []
+        self._index = {}  # row -> its index in `rows`
+
+
+class RowView:
+    """The history of `event` as a read-only sequence whose slot i is read
+    from its rows when it is indexed, and equals `event.history[i]`."""
+
+    __slots__ = ("_rows", "_refs", "_sources")
+
+    def __init__(self, event):
+        self._rows = event.table.rows
+        self._refs = event.rows
+        self._sources = _SOURCES[event.kind]
+
+    def __len__(self):
+        return len(self._sources)
+
+    def __getitem__(self, slot):
+        node, feature = self._sources[slot]
+        return self._rows[self._refs[node]][feature]
+
+
+def encode(tree, ctx, table=None):
     """The unique event sequence whose replay reconstructs `tree`: a list
-    of DerivationEvent, one per step of `replay`."""
-    return [DerivationEvent(kind=kind, history=extract_history(state, kind),
-                            future=value)
-            for state, kind, value in replay(tree, ctx)]
+    of DerivationEvent, one per step of `replay`.  Each queried node's row
+    is read once, by the layout's row readers, and recorded in `table`
+    (a fresh RowTable unless given), which holds equal rows once."""
+    table = RowTable() if table is None else table
+    index = table._index
+    add = index.setdefault
+    events = []
+    for state, kind, value in replay(tree, ctx):
+        frame = _frame(state, kind, len(state.tagged) if kind == KIND_TAG
+                       else state.stack[-1])
+        refs = tuple([add(row(frame), len(index)) for row in _ROWS[kind]])
+        events.append(DerivationEvent(kind, refs, value, table))
+    table.rows.extend(islice(index, len(table.rows), None))
+    return events
 
 
 def to_raw_tree(node):

@@ -25,17 +25,19 @@ is then a fixed number of whole-array passes over every group at once,
 summed in the order that keeps the lambdas bit-identical to fitting one
 group at a time (see `smooth`).
 
-Growing encodes every slot of every event at once, column by column
-(`encode_histories`): an int code array and a nulls mask that marks the
-missing values.  From them it builds one bool matrix of every event's
-answer to every question, and scores all questions of a node in one
-pass over the node's rows; the few whose gain is within rounding of the
-best are scored again one at a time, so the question asked, and its
-tie-break toward the earliest, is exactly that of the scalar formula.
-Prediction, and the held-out grouping in `smooth`, instead `walk` the
-tree, encoding only the slot each question on its path reads.  Both look
-codes up in the one symbol -> int table of each class tree,
-`ClassTree.codes`.
+Growing takes every slot of every event at once, as columns: an int code
+array and a nulls mask that marks the missing values.  Training gathers
+them from the codes of its events' rows, each distinct row encoded once
+(`encode_rows`, `ModelSchema.gather`); `encode_histories` encodes tuple
+histories into the same columns slot by slot.  From them growing builds
+one bool matrix of every event's answer to every question, and scores
+all questions of a node in one pass over the node's rows; the few whose
+gain is within rounding of the best are scored again one at a time, so
+the question asked, and its tie-break toward the earliest, is exactly
+that of the scalar formula.  Prediction, and the held-out grouping in
+`smooth`, instead `walk` the tree, reading only the slot each question
+on its path reads and encoding it alone.  Both look codes up in the one
+symbol -> int table of each class tree, `ClassTree.codes`.
 
 A tree has one form, a `FlatTree`: one table of per-node lists in
 preorder, which growing and loading both fill one node at a time
@@ -47,11 +49,13 @@ in which each internal node has both branches.
 
 import logging
 import math
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDistribution, NoEvents, SlotLayoutMismatch
+from .errors import (DegenerateDistribution, NoEvents, SlotLayoutMismatch,
+                     UnknownId)
 
 log = logging.getLogger(__name__)
 
@@ -110,10 +114,9 @@ class ModelSchema:
                 for arg in args(self.encoders.get(vkind))]
 
     def encode_histories(self, histories):
-        """Codes and nulls mask, one row per history, filled one slot
-        column at a time: a categorical value's code comes from its class
-        tree's table, a numeric value is its own code, and a missing value
-        is code 0 with its null flag set."""
+        """Codes and nulls mask of tuple histories, one row per history,
+        filled one slot column at a time by `encode_column`: the columns
+        that `gather` builds from rows, here from every slot written out."""
         width = len(self.slots)
         for history in histories:
             if len(history) != width:
@@ -123,11 +126,8 @@ class ModelSchema:
         nulls = np.zeros((len(histories), width), dtype=bool)
         columns = zip(self.slots, zip(*histories))
         for i, ((_, vkind), column) in enumerate(columns):
-            code = (self.encoders[vkind].codes.__getitem__
-                    if vkind in CATEGORICAL_KINDS else int)
-            vals[:, i] = [0 if value is None else code(value)
-                          for value in column]
-            nulls[:, i] = [value is None for value in column]
+            vals[:, i], nulls[:, i] = encode_column(column, vkind,
+                                                    self.encoders)
         return vals, nulls
 
     def encode_history(self, history):
@@ -135,11 +135,65 @@ class ModelSchema:
         vals, nulls = self.encode_histories([history])
         return vals[0], nulls[0]
 
-    def encode_events(self, events):
-        vals, nulls = self.encode_histories([event.history for event in events])
-        futures = np.array([self.future_index[event.future] for event in events],
-                           dtype=np.int64)
-        return vals, nulls, futures
+    def gather(self, row_codes, events, sources):
+        """The (codes, nulls, future indices) columns of `events`, each of
+        which reads the rows `event.rows` of `row_codes`, an `encode_rows`
+        result, one per queried node, and took the value `event.future`.
+        Slot i, whose source `sources[i]` is (node, feature), is that
+        feature's codes at each event's row of that node: every slot is
+        one numpy gather.  A symbol a class tree lacks raises UnknownId at
+        its first event in the first slot that reads it, as
+        `encode_histories` would."""
+        if len(sources) != len(self.slots):
+            raise SlotLayoutMismatch(f"history has {len(sources)} slots, "
+                                     f"schema expects {len(self.slots)}")
+        codes, nulls, rows = row_codes
+        nodes, features = np.array(sources, dtype=np.intp).T
+        refs = np.array([event.rows for event in events], dtype=np.intp)
+        at = refs.reshape(len(events), nodes.max() + 1)[:, nodes]
+        vals = codes[at, features]
+        if vals.min(initial=0) == UNCOVERED:
+            slot, event = np.argwhere((vals == UNCOVERED).T)[0]
+            table = self.encoders[self.slots[slot][1]].codes
+            table[rows[at[event, slot]][features[slot]]]  # raises UnknownId
+        futures = np.array([self.future_index[event.future]
+                            for event in events], dtype=np.int64)
+        return vals, nulls[at, features], futures
+
+
+def encode_column(values, vkind, encoders):
+    """The codes and null flags of `values`, a column of value kind
+    `vkind`: a categorical value's code comes from its class tree's
+    table, a numeric value is its own code, and a missing value is code 0
+    with its null flag set."""
+    code = (encoders[vkind].codes.__getitem__ if vkind in CATEGORICAL_KINDS
+            else int)
+    return ([0 if value is None else code(value) for value in values],
+            [value is None for value in values])
+
+
+UNCOVERED = -1  # the code `encode_rows` gives a symbol its class tree lacks
+
+
+def encode_rows(rows, kinds, encoders):
+    """The (codes, nulls, rows) of `rows`, whose feature f is of value kind
+    `kinds[f]`: a row of codes and of null flags per row, each feature's
+    column encoded once by `encode_column`; a row shorter than `kinds`
+    lacks its last features.  A symbol a class tree lacks is coded
+    UNCOVERED, so that `ModelSchema.gather` raises UnknownId for it only
+    where a model reads it."""
+    codes = np.zeros((len(rows), len(kinds)), dtype=np.int64)
+    nulls = np.ones((len(rows), len(kinds)), dtype=bool)
+    for f, column in enumerate(zip_longest(*rows)):
+        try:
+            codes[:, f], nulls[:, f] = encode_column(column, kinds[f],
+                                                     encoders)
+        except UnknownId:  # so the class tree has no fallback to code
+            table = encoders[kinds[f]].codes
+            codes[:, f] = [0 if value is None else table.get(value, UNCOVERED)
+                           for value in column]
+            nulls[:, f] = [value is None for value in column]
+    return codes, nulls, rows
 
 
 class DTNode:
@@ -180,8 +234,10 @@ def _xlog2x(counts):
     return counts * np.log2(np.maximum(counts, 1))
 
 
-def grow(events, schema, config):
-    """CART-style tree growing by entropy reduction.
+def grow(columns, schema, config):
+    """CART-style tree growing by entropy reduction, from the (codes,
+    nulls, future indices) `columns` of the events, one row per event, as
+    `ModelSchema.gather` and `future_index` give them.
 
     Splitting stops when a node holds fewer than `config.min_events`
     events, sits at `config.max_depth`, or no question gains at least
@@ -197,11 +253,11 @@ def grow(events, schema, config):
     earliest one with the largest exact gain is asked: the same question,
     tie-break and `min_gain` test as scoring each question alone.
     """
-    if not events:
+    vals, nulls, futures = columns
+    if not len(futures):
         raise NoEvents(f"no events to grow a {schema.kind} model from")
-    vals, nulls, futures = schema.encode_events(events)
     questions = schema.questions()
-    answers = np.empty((len(events), len(questions)), dtype=bool)
+    answers = np.empty((len(futures), len(questions)), dtype=bool)
     for qi, q in enumerate(questions):
         answers[:, qi] = q.answer_array(vals[:, q.slot], nulls[:, q.slot])
     n_futures = len(schema.futures)
@@ -241,7 +297,7 @@ def grow(events, schema, config):
         mask = answers[idx, best_qi]
         return node, ((idx[mask], depth + 1), (idx[~mask], depth + 1))
 
-    return FlatTree.build(schema, split, (np.arange(len(events)), 0))
+    return FlatTree.build(schema, split, (np.arange(len(futures)), 0))
 
 
 # How a node of a FlatTree answers, by question kind.
@@ -426,15 +482,16 @@ def interpolate(tree, bucket_lambdas):
     """The leaves' smoothed distributions as read-only arrays, None at
     internal nodes.  In preorder, float by float, each node interpolates
     its relative frequencies with its parent's smoothed distribution (the
-    uniform one at the root) by its count bucket's lambda; a node whose
-    distribution is not positive and summing to 1 raises
-    DegenerateDistribution."""
+    uniform one at the root) by its count bucket's lambda, and a node with
+    no events, which has no relative frequencies, by a lambda of 0: it
+    takes its parent's distribution.  A node whose distribution is not
+    positive and summing to 1 raises DegenerateDistribution."""
     n_futures = len(tree.nodes[0].counts)
     uniform = [1.0 / n_futures] * n_futures
     smoothed = []
     rows = [None] * len(tree.nodes)
     for i, (node, parent) in enumerate(zip(tree.nodes, tree.parent)):
-        lam = bucket_lambdas[count_bucket(node)]
+        lam = bucket_lambdas[count_bucket(node)] if node.total else 0.0
         rest = 1.0 - lam
         above = smoothed[parent] if parent >= 0 else uniform
         total = node.total or 1  # a node with no events counts only zeros
@@ -459,9 +516,11 @@ def em_converged(em_log, tolerance):
         tolerance * max(1.0, abs(em_log[-2]))
 
 
-def smooth(tree, heldout_events, schema, config):
+def smooth(tree, heldout, schema, config):
     """Fit bucketed interpolation weights on held-out events by EM, and
-    smooth FlatTree `tree` with them.
+    smooth FlatTree `tree` with them.  `heldout` holds each event as a
+    (history, future) pair, the history any sequence of slots that
+    `walk` can read.
 
     With no held-out events the lambdas fall back to a fixed
     count-based schedule and the model is flagged (`heldout_used`).
@@ -472,7 +531,8 @@ def smooth(tree, heldout_events, schema, config):
     with the groups, not the events.  Every iteration is a fixed number of
     whole-array passes over all groups at once, each group one row of the
     same width: its path's nodes from the root down, right-aligned, behind
-    padding that reads a lambda of 0 from an extra bucket.  Four rules
+    padding that reads a lambda of 0 from an extra bucket, as a node with
+    no events does (see `interpolate`).  Four rules
     keep the sums, and so the lambdas and `em_log`, bit-identical to
     fitting one group at a time:
 
@@ -492,15 +552,15 @@ def smooth(tree, heldout_events, schema, config):
     the tests hold the two equal as `float.hex`.
     """
     buckets = sorted({count_bucket(n) for n in tree.nodes})
-    if not heldout_events:
+    if not heldout:
         log.warning("no held-out events for the %s model; using the fixed "
                     "lambda schedule", schema.kind)
         lambdas = {b: 2.0 ** b / (2.0 ** b + _FALLBACK_PIVOT) for b in buckets}
         return SmoothedModel(schema, tree, lambdas, heldout_used=False)
 
     groups = {}
-    for event in heldout_events:
-        key = (walk(tree, event.history), schema.future_index[event.future])
+    for history, future in heldout:
+        key = (walk(tree, history), schema.future_index[future])
         groups[key] = groups.get(key, 0) + 1
 
     # Per reached leaf, its path's nodes from the root down.
@@ -515,7 +575,8 @@ def smooth(tree, heldout_events, schema, config):
 
     # One row per group: the relative frequency of its future at each node
     # of its path, and the position of the node's bucket's lambda, right-
-    # aligned behind padding at position `pad`, whose lambda is 0.
+    # aligned behind padding at position `pad`, whose lambda is 0.  A node
+    # with no events reads its lambda of 0 there too, as in `interpolate`.
     pad = len(buckets)
     bucket_pos = {b: i for i, b in enumerate(buckets)}
     width = max(map(len, paths.values()))
@@ -527,7 +588,8 @@ def smooth(tree, heldout_events, schema, config):
         emp[g, width - len(path):] = [
             tree.nodes[i].empirical()[future] for i in path]
         slots[g, width - len(path):] = [
-            bucket_pos[count_bucket(tree.nodes[i])] for i in path]
+            bucket_pos[count_bucket(tree.nodes[i])] if tree.nodes[i].total
+            else pad for i in path]
         rows_by_length.setdefault(len(path), []).append(g)
     rows_by_length = [(n, np.array(rows)) for n, rows in rows_by_length.items()]
     slots = slots.ravel()

@@ -1,11 +1,15 @@
 """The three linked decision-tree models and the training pipeline.
 
-Training encodes every grow tree into its derivation events and routes
-them by decision kind: word-tagging events train the tag model (one per
-word), constituent-labelling events the label model (one per internal
-node), and attachment events the extension model (one per node).  Each
-model is grown on the grow split and interpolation-smoothed on the
-held-out split.
+Training replays every tree of both splits once into its derivation
+events and routes them by decision kind: word-tagging events train the
+tag model (one per word), constituent-labelling events the label model
+(one per internal node), and attachment events the extension model (one
+per node).  An event records its history as the rows it reads, in one
+`derivation.RowTable` for the whole training run, and each distinct row
+is encoded once (`dtm.encode_rows`).  Each model is grown on the grow
+split, from slot columns gathered from those codes
+(`dtm.ModelSchema.gather`), and interpolation-smoothed on the held-out
+split, whose events it walks through `derivation.RowView`s of their rows.
 
 The three future vocabularies are the tag set, the label set and the
 five extensions.  Histories are encoded through class trees built from
@@ -128,11 +132,12 @@ def observed_u_max(trees):
     return longest if longest > 0 else DEFAULT_U_MAX
 
 
-def _encode_corpus(trees, ctx, what):
+def _encode_corpus(trees, ctx, table, what):
+    """The events of `trees` by decision kind, their rows in `table`."""
     routed = {kind: [] for kind in derivation.KINDS}
     for index, tree in enumerate(trees):
         try:
-            for event in derivation.encode(tree, ctx):
+            for event in derivation.encode(tree, ctx, table):
                 routed[event.kind].append(event)
         except DTParserError as exc:
             raise type(exc)(f"{what} sentence {index}: {exc}") from exc
@@ -162,17 +167,22 @@ def train(grow_trees, smooth_trees, config, heads=None, classes=None):
     model_set = ModelSet(vocab=vocab, heads=heads, class_trees=class_trees,
                          models={}, u_max=u_max)
     ctx = model_set.context()
-    grow_events = _encode_corpus(grow_trees, ctx, "grow")
-    heldout_events = _encode_corpus(smooth_trees, ctx, "heldout")
+    table = derivation.RowTable()
+    grow_events = _encode_corpus(grow_trees, ctx, table, "grow")
+    heldout_events = _encode_corpus(smooth_trees, ctx, table, "heldout")
+    row_codes = dtm.encode_rows(table.rows, derivation.ROW_KINDS, class_trees)
 
     models = model_set.models
     for kind in derivation.KINDS:
         schema = make_schema(kind, vocab, class_trees)
         log.info("growing %s model from %d events", kind, len(grow_events[kind]))
         try:
-            tree = dtm.grow(grow_events[kind], schema, config)
-            models[kind] = dtm.smooth(tree, heldout_events[kind], schema,
-                                      config)
+            tree = dtm.grow(schema.gather(row_codes, grow_events[kind],
+                                          derivation.slot_sources(kind)),
+                            schema, config)
+            heldout = [(derivation.RowView(event), event.future)
+                       for event in heldout_events[kind]]
+            models[kind] = dtm.smooth(tree, heldout, schema, config)
         except DTParserError as exc:
             raise type(exc)(f"{kind} model: {exc}") from exc
         log.info("%s model: %d nodes, %d lambda buckets%s", kind,

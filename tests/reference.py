@@ -17,13 +17,24 @@ from dtparser.dtm import DTNode, FlatTree, _entropy_bits, count_bucket, walk
 from dtparser.errors import IllegalAction, NoEvents
 
 
+def encode_events(events, schema):
+    """The (codes, nulls, future indices) columns that `dtm.grow` takes,
+    of `events`, (history, future) pairs whose histories are tuples: each
+    history encoded slot by slot by `ModelSchema.encode_histories`."""
+    vals, nulls = schema.encode_histories([history for history, _ in events])
+    futures = np.array([schema.future_index[future] for _, future in events],
+                       dtype=np.int64)
+    return vals, nulls, futures
+
+
 def reference_grow(events, schema, config):
-    """`dtm.grow` scoring each question of a node alone: its yes mask, a
-    `bincount` of each side and the exact gain, keeping the first question
-    whose gain is strictly the largest and above 0."""
+    """`dtm.grow` of (history, future) `events`, scoring each question of a
+    node alone: its yes mask, a `bincount` of each side and the exact
+    gain, keeping the first question whose gain is strictly the largest
+    and above 0."""
     if not events:
         raise NoEvents(f"no events to grow a {schema.kind} model from")
-    vals, nulls, futures = schema.encode_events(events)
+    vals, nulls, futures = encode_events(events, schema)
     questions = schema.questions()
     n_futures = len(schema.futures)
 
@@ -61,7 +72,8 @@ def reference_grow(events, schema, config):
 
 
 def as_forced_order_tree(schema, questions, events):
-    """Split on the given questions in exactly the given order.
+    """Split the (history, future) `events` on the given questions in
+    exactly the given order.
 
     Every leaf then holds the events sharing one full answer pattern, so
     its relative frequencies are exactly the empirical conditional table
@@ -70,7 +82,7 @@ def as_forced_order_tree(schema, questions, events):
     """
     if not events:
         raise NoEvents(f"no events for a forced-order {schema.kind} model")
-    vals, nulls, futures = schema.encode_events(events)
+    vals, nulls, futures = encode_events(events, schema)
     n_futures = len(schema.futures)
 
     def split(idx, qpos):
@@ -85,14 +97,16 @@ def as_forced_order_tree(schema, questions, events):
     return FlatTree.build(schema, split, (np.arange(len(events)), 0))
 
 
-def reference_em(tree, heldout_events, schema, config):
+def reference_em(tree, heldout, schema, config):
     """`dtm.smooth`'s EM fit one (leaf, future) group at a time: the
     bucket lambdas, keyed by count bucket, and the held-out
-    log-likelihood of every iteration.  `heldout_events` is not empty."""
+    log-likelihood of every iteration.  `heldout` holds (history, future)
+    pairs and is not empty.  A node with no events has a lambda of 0, as
+    in `dtm.interpolate`, and takes no part in the update."""
     buckets = sorted({count_bucket(n) for n in tree.nodes})
     groups = {}
-    for event in heldout_events:
-        key = (walk(tree, event.history), schema.future_index[event.future])
+    for history, future in heldout:
+        key = (walk(tree, history), schema.future_index[future])
         groups[key] = groups.get(key, 0) + 1
 
     bucket_pos = {b: i for i, b in enumerate(buckets)}
@@ -103,7 +117,8 @@ def reference_em(tree, heldout_events, schema, config):
             path.insert(0, tree.parent[path[0]])
         paths[leaf_id] = (
             np.stack([tree.nodes[i].empirical() for i in path]),
-            np.array([bucket_pos[count_bucket(tree.nodes[i])] for i in path]))
+            np.array([bucket_pos[count_bucket(tree.nodes[i])] for i in path]),
+            np.array([tree.nodes[i].total > 0 for i in path]))
 
     lam = np.full(len(buckets), min(0.5, config.lambda_max))
     uniform = 1.0 / len(schema.futures)
@@ -113,8 +128,8 @@ def reference_em(tree, heldout_events, schema, config):
         den = np.zeros(len(buckets))
         ll = 0.0
         for (leaf_id, future), count in groups.items():
-            emp_rows, slots = paths[leaf_id]
-            lam_path = lam[slots]
+            emp_rows, slots, seen = paths[leaf_id]
+            lam_path = np.where(seen, lam[slots], 0.0)
             one_minus = 1.0 - lam_path
             suffix = np.cumprod(one_minus[::-1])[::-1]  # prod_{i>=j}(1-lam)
             deeper = np.append(suffix[1:], 1.0)         # prod_{i>j}(1-lam)
@@ -126,8 +141,8 @@ def reference_em(tree, heldout_events, schema, config):
             resp = contrib / mix
             resp_uniform = suffix[0] * uniform / mix
             visited = resp_uniform + np.cumsum(resp)
-            np.add.at(num, slots, count * resp)
-            np.add.at(den, slots, count * visited)
+            np.add.at(num, slots[seen], (count * resp)[seen])
+            np.add.at(den, slots[seen], (count * visited)[seen])
         done = bool(em_log) and abs(ll - em_log[-1]) <= \
             config.em_tolerance * max(1.0, abs(em_log[-1]))
         em_log.append(ll)

@@ -78,8 +78,8 @@ def test_criterion_3_forced_order_tree_equals_the_ngram_table():
     schema, events = test_dtm.tagging_fixture(5000, seed=31)
     flat = as_forced_order_tree(schema, schema.questions(), events)
     table = {}
-    for event in events:
-        table.setdefault(event.history, Counter())[event.future] += 1
+    for history, future in events:
+        table.setdefault(history, Counter())[future] += 1
     for history, futures in table.items():
         node = flat.nodes[walk(flat, history)]
         assert node.counts.tolist() == [futures.get(f, 0)

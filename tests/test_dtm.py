@@ -10,15 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtparser import dtm
 from dtparser.classtree import fixed_class_tree
 from dtparser.config import Config
-from dtparser.derivation import DerivationEvent
 from dtparser.dtm import (SIZE_THRESHOLDS, DTNode, FlatTree, ModelSchema,
-                          Question, SmoothedModel, _entropy_bits, grow,
+                          Question, SmoothedModel, _entropy_bits,
                           interpolate, iter_nodes, smooth, walk)
 from dtparser.errors import NoEvents, SlotLayoutMismatch
 
-from reference import as_forced_order_tree, reference_em, reference_grow
+from reference import (as_forced_order_tree, encode_events, reference_em,
+                       reference_grow)
 
 CFG = Config(min_events=2, min_gain=0.01)
 
@@ -29,7 +30,15 @@ def numeric_schema(*names, futures=("x", "y")):
 
 
 def ev(history, future):
-    return DerivationEvent(kind="tag", history=tuple(history), future=future)
+    """An event as these tests write it: a (history, future) pair, the
+    form `smooth` takes held-out events in."""
+    return tuple(history), future
+
+
+def grow(events, schema, config):
+    """`dtm.grow` on the columns of (history, future) `events`, their
+    histories encoded by `ModelSchema.encode_histories`."""
+    return dtm.grow(encode_events(events, schema), schema, config)
 
 
 # --- growing ---
@@ -291,8 +300,8 @@ def test_forced_order_tree_is_the_conditional_table():
     questions = schema.questions()
     flat = as_forced_order_tree(schema, questions, events)
     table = {}
-    for event in events:
-        table.setdefault(event.history, Counter())[event.future] += 1
+    for history, future in events:
+        table.setdefault(history, Counter())[future] += 1
     for history, futures in table.items():
         node = flat.nodes[walk(flat, history)]
         expected = [futures.get(f, 0) for f in schema.futures]
@@ -487,8 +496,8 @@ def assert_em_matches_the_oracle(tree, heldout, schema, config):
 def path_lengths(tree, events):
     """The number of nodes on the root-to-leaf path of each event."""
     lengths = set()
-    for event in events:
-        i, n = walk(tree, event.history), 1
+    for history, _ in events:
+        i, n = walk(tree, history), 1
         while (i := tree.parent[i]) >= 0:
             n += 1
         lengths.add(n)
@@ -582,6 +591,25 @@ def test_em_equals_the_oracle_on_a_root_only_tree():
                for j, future in enumerate("xyzzyxxx")]
     model = assert_em_matches_the_oracle(tree, heldout, schema, CFG)
     assert len(model.em_log) > 1
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 40])
+def test_a_node_with_no_events_takes_its_parents_distribution(iterations):
+    """A forced-order tree's branch that no grow event reaches is smoothed
+    with a lambda of 0, so it sums to 1 whatever its count bucket's
+    lambda, and EM fits the other lambdas as the oracle does."""
+    schema = numeric_schema("A")
+    tree = as_forced_order_tree(schema, [Question(0, "le", 1)],
+                                [ev((5,), "x"), ev((5,), "y"), ev((5,), "x")])
+    empty, root = tree.nodes[tree.yes[0]], tree.nodes[0]
+    assert empty.total == 0
+    heldout = [ev((1,), "y"), ev((5,), "x")]
+    config = CFG.replace(em_max_iterations=iterations, lambda_max=0.1)
+    model = assert_em_matches_the_oracle(tree, heldout, schema, config)
+    lam = model.bucket_lambdas[root.total.bit_length() - 1]
+    assert model.smoothed[tree.yes[0]].tolist() == [
+        lam * (c / root.total) + (1.0 - lam) * 0.5
+        for c in root.counts.tolist()]
 
 
 def test_predict_walks_to_the_right_leaf():

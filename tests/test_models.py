@@ -2,21 +2,27 @@
 
 import dataclasses
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 import toylang
-from dtparser import derivation, models
-from dtparser.corpus import UNK, internal_nodes, leaves, parse_tree
+from dtparser import derivation, dtm, models
+from dtparser.corpus import (UNK, internal_nodes, leaves, parse_tree,
+                             split_corpus)
 from dtparser.derivation import EXTENSIONS, TAG_LABEL
-from dtparser.errors import DTParserError, IllegalAction, UnaryChainTooLong
+from dtparser.errors import (DTParserError, IllegalAction,
+                             UnaryChainTooLong, UnknownId)
 from dtparser.headfinder import default_head_rules
 
 from conftest import toy_config
 
 
 def test_events_route_by_decision_kind(toy_treebank, toy_model_set):
-    from dtparser.corpus import split_corpus
     config = toy_config()
     grow, _ = split_corpus(toy_treebank, config.grow_fraction, config.seed)
     n_words = sum(len(leaves(t)) for t in grow)
@@ -67,6 +73,85 @@ def test_encode_errors_name_the_offending_sentence():
     with pytest.raises(UnaryChainTooLong) as err:
         models.train(trees, [], config)
     assert "grow sentence 1" in str(err.value)
+
+
+def test_heldout_encode_errors_name_the_offending_sentence():
+    grow = [parse_tree("(S a_T b_T)")]
+    heldout = [parse_tree("(S a_T b_T)"), parse_tree("(A (B (C w_T)))")]
+    config = toy_config().replace(u_max=1)
+    with pytest.raises(UnaryChainTooLong) as err:
+        models.train(grow, heldout, config)
+    assert "heldout sentence 1" in str(err.value)
+
+
+def test_a_symbol_only_a_later_model_reads_fails_that_model(toy_treebank):
+    """A root label shows only in the history of the root's extension, so a
+    label class tree without it fails the extension model, not the tag
+    model that trains first."""
+    config = toy_config()
+    vocab, class_trees = models.build_classes(toy_treebank, config)
+    codes = dict(class_trees["label"].codes)
+    del codes["S"]
+    class_trees["label"] = dataclasses.replace(class_trees["label"],
+                                               codes=codes)
+    grow, heldout = split_corpus(toy_treebank, config.grow_fraction,
+                                 config.seed)
+    with pytest.raises(UnknownId, match="^extension model: symbol 'S' "):
+        models.train(grow, heldout, config, classes=(vocab, class_trees))
+
+
+def _oracle_events(trees, ctx):
+    """Per decision kind, the (history, future) pairs of `trees`' events,
+    each history written out by `reference.extract_history`."""
+    pairs = {kind: [] for kind in derivation.KINDS}
+    for tree in trees:
+        for state, kind, value in derivation.replay(tree, ctx):
+            pairs[kind].append((reference.extract_history(state, kind), value))
+    return pairs
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), toy=st.booleans(),
+       n_grow=st.integers(1, 10), n_heldout=st.integers(0, 4))
+def test_training_columns_equal_the_tuple_oracle(seed, toy, n_grow,
+                                                 n_heldout):
+    """The columns each model grows from equal the hand-written histories
+    encoded slot by slot, and each held-out event's view reads those
+    histories and walks to the same leaf, for all three kinds."""
+    if toy:
+        trees = toylang.corpus(n_grow + n_heldout, seed)
+    else:
+        rng = random.Random(seed)
+        trees = [toylang.random_tree(rng) for _ in range(n_grow + n_heldout)]
+    grow, heldout = trees[:n_grow], trees[n_grow:]
+    seen = {}
+
+    def grow_recorder(columns, schema, config):
+        seen[schema.kind] = [columns]
+        return real_grow(columns, schema, config)
+
+    def smooth_recorder(tree, pairs, schema, config):
+        seen[schema.kind] += [tree, pairs]
+        return real_smooth(tree, pairs, schema, config)
+
+    real_grow, real_smooth = dtm.grow, dtm.smooth
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dtm, "grow", grow_recorder)
+        patch.setattr(dtm, "smooth", smooth_recorder)
+        model_set = models.train(grow, heldout, toy_config())
+    ctx = model_set.context()
+    grow_pairs = _oracle_events(grow, ctx)
+    heldout_pairs = _oracle_events(heldout, ctx)
+    for kind in derivation.KINDS:
+        columns, tree, pairs = seen[kind]
+        schema = model_set.models[kind].schema
+        expected = reference.encode_events(grow_pairs[kind], schema)
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(columns, expected))
+        assert len(pairs) == len(heldout_pairs[kind])
+        for (view, future), (history, want) in zip(pairs, heldout_pairs[kind]):
+            assert (tuple(view), future) == (history, want)
+            assert dtm.walk(tree, view) == dtm.walk(tree, history)
 
 
 def test_degenerate_corpus_is_memorized():
