@@ -50,6 +50,7 @@ in which each internal node has both branches.
 import logging
 import math
 from itertools import zip_longest
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -442,9 +443,10 @@ class SmoothedModel:
     from a model file, which stores only those.
 
     The rows are read-only, so no caller of `predict` can change what
-    later predictions read.  `log_row(i)` is row i as natural logs, the
-    form search adds up; it is filled the first time a decision reaches
-    leaf i, since a parse reaches few of the leaves."""
+    later predictions read.  `ranked_scores(i, candidates)` is the form
+    search reads: the candidates' natural logs at leaf i, best first.  It
+    is computed the first time a decision reaches leaf i with those
+    candidates, since a parse reaches few of the leaves."""
 
     def __init__(self, schema, tree, bucket_lambdas, heldout_used,
                  em_log=()):
@@ -456,7 +458,7 @@ class SmoothedModel:
         self.nodes = tree.nodes
         self.bucket_lambdas = dict(bucket_lambdas)
         self.smoothed = interpolate(tree, self.bucket_lambdas)
-        self._log_rows = [None] * len(self.smoothed)
+        self._ranked = {}  # (leaf, candidates) -> ranked_scores
         self.heldout_used = heldout_used
         self.em_log = list(em_log)  # held-out log-likelihood per iteration
 
@@ -464,14 +466,20 @@ class SmoothedModel:
         """Probabilities over `schema.futures` (read-only array)."""
         return self.smoothed[walk(self.tree, history)]
 
-    def log_row(self, leaf):
-        """The natural logs of leaf `leaf`'s probabilities, as a list over
-        `schema.futures`, computed the first time a decision reaches it."""
-        row = self._log_rows[leaf]
-        if row is None:
-            row = self._log_rows[leaf] = [
-                math.log(p) for p in self.smoothed[leaf].tolist()]
-        return row
+    def ranked_scores(self, leaf, candidates):
+        """The (value, natural log of its probability at leaf `leaf`) pairs
+        of the future values `candidates`, by falling score, equal scores
+        in candidate order; one tuple per leaf and candidate tuple, made
+        the first time it is asked for."""
+        key = (leaf, candidates)
+        ranked = self._ranked.get(key)
+        if ranked is None:
+            row = self.smoothed[leaf].tolist()
+            index = self.schema.future_index
+            ranked = self._ranked[key] = tuple(sorted(
+                ((value, math.log(row[index[value]])) for value in candidates),
+                key=itemgetter(1), reverse=True))
+        return ranked
 
 
 def count_bucket(node):

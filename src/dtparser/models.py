@@ -192,23 +192,24 @@ def train(grow_trees, smooth_trees, config, heads=None, classes=None):
 
 
 def action_scores(model_set, state):
-    """The pending decision kind and each legal value's score: the natural
-    log of its probability.
+    """The pending decision kind and each legal value's score, the natural
+    log of its probability, as (value, score) pairs ranked by falling
+    score, equal scores in candidate order.
 
     Probabilities come straight from the decision-tree model; values made
     illegal by the derivation rules are dropped without renormalising, so
     a partial derivation's probability never understates its completions.
     The model's tree walk reads the history through a
-    `derivation.HistoryView`, which computes only the slots it asks.
+    `derivation.HistoryView`, which computes only the slots it asks.  The
+    ranked tuple is the model's, shared by every state that reaches the
+    same leaf with the same candidates (`SmoothedModel.ranked_scores`).
     """
     decision = derivation.pending_decision(state)  # both may raise DeadEnd
     kind, candidates = derivation.legal_actions(state, decision)
     model = model_set.models[kind]
     leaf = dtm.walk(model.tree,
                     derivation.HistoryView(state, decision=decision))
-    index = model.schema.future_index
-    logs = model.log_row(leaf)
-    return kind, [(value, logs[index[value]]) for value in candidates]
+    return kind, model.ranked_scores(leaf, candidates)
 
 
 def score_action(model_set, state, action):

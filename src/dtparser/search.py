@@ -24,10 +24,14 @@ Equal-probability complete parses are tie-broken toward the
 lexicographically smallest decision sequence; pruning keeps
 equal-scoring partials alive so the tie-break is exact.
 
-If the number of live hypotheses ever exceeds `max_hypotheses` the
-search stops certifying and instead greedily rolls the best live
-hypothesis out to a completion, reporting `search-error-memory` (with a
-parse whenever one can still be finished).  The rollout's greedy step
+Live hypotheses are the heap's entries plus each expansion's successors
+not yet pushed that passed the incumbent test when it was expanded: all
+that an eager search, pushing every successor at once, would hold.  If
+their number ever exceeds `max_hypotheses` the search stops certifying
+and instead greedily rolls the best live hypothesis out to a
+completion, reporting `search-error-memory` (with a parse whenever one
+can still be finished).  Live hypotheses are tried by falling log
+probability, equal ones in ticket order.  The rollout's greedy step
 breaks equal log probabilities toward the lexicographically largest
 action value, unlike the exact search and `exhaustive_parse`, which break
 them toward the smallest.
@@ -38,23 +42,34 @@ safe never-discards-an-optimum bound applied.
 
 Scores are natural-log probabilities throughout: `models.action_scores`
 gives each legal decision its log probability, read from the reached
-leaf's row of logs, and a successor's `logprob` is its parent's plus
+leaf's distribution, and a successor's `logprob` is its parent's plus
 that score.
 
-Expanding a hypothesis scores every legal successor but keeps each one
-only as an entry, a plain (log probability, `h`, parent, kind, value)
-tuple.  An entry becomes a hypothesis record, whose derivation state is
-built when it is made, only where search keeps it: when `parse` pops it
-and it survives both incumbent checks, when the memory fallback rolls it
-out, and when `exhaustive_parse` descends into it.  So most successors,
-which are never popped, cost one tuple and no state.  Search order and
-results do not depend on when states are built.
+Expanding a hypothesis pushes only its best successor.  `action_scores`
+ranks the legal decisions by falling score, so the successors that pass
+the incumbent test (`logprob` at least the best complete parse's) are a
+prefix of that ranking, and each is pushed when the one ranked before it
+is popped, whether that one is expanded or dropped.  Each expansion
+takes a block of tickets as large as its candidate list, and the
+successor at rank r takes the block's r-th, so (priority, ticket)
+orders every successor as if all of them had been pushed at once, one
+ticket each in candidate order: the heap pops the same hypotheses in the
+same order, and a sibling it never reaches costs nothing.  The one place
+the two orders could part is distinct scores whose priorities round to
+the same float; such a run is put back in candidate order before its
+first member is pushed.
+
+A popped successor becomes a hypothesis record, whose derivation state
+is built when it is made, only where search keeps it: when it survives
+both incumbent checks, when the memory fallback rolls it out, and when
+`exhaustive_parse` descends into it.  Search order and results do not
+depend on when states are built.
 """
 
 import heapq
-import itertools
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
@@ -117,16 +132,15 @@ class _Best:
                 hyp, hyp.logprob, decisions
 
 
-def _expand(model_set, hyp, bound=None):
-    """The successor entries of `hyp`, one (logprob, h, hyp, kind, value)
-    per legal action, each `h` under `bound` (0 without one); empty at a
-    dead end."""
+def _expand(model_set, hyp):
+    """The successor entries of `hyp`, one (logprob, 0, hyp, kind, value)
+    per legal action, best first; empty at a dead end.  For the memory
+    fallback's rollout and `exhaustive_parse`, which need no `h`."""
     try:
         kind, scored = action_scores(model_set, hyp.state)
     except DeadEnd:
         return []
-    h = 0.0 if bound is None else bound.after(hyp, kind)
-    return [(hyp.logprob + score, h, hyp, kind, value)
+    return [(hyp.logprob + score, 0.0, hyp, kind, value)
             for value, score in scored]
 
 
@@ -135,6 +149,67 @@ def _record(entry):
     _, _, parent, kind, value = entry
     return _Hypothesis(derivation.apply_action(parent.state, (kind, value),
                                                validate=False), *entry)
+
+
+class _Successors:
+    """The successors of one expanded hypothesis that pass the incumbent
+    test when it is expanded, in the order the heap is to pop them: the
+    first `count` of `action_scores`' ranking, each run of equal priority
+    in candidate order.  The one at rank r, once pushed, is the heap entry
+    (priority, `base` + r, logprob, self, r)."""
+
+    __slots__ = ("parent", "kind", "h", "ranked", "base", "count",
+                 "settled")
+
+    def __init__(self, parent, kind, h, ranked, base, incumbent):
+        self.parent, self.kind, self.h = parent, kind, h
+        self.ranked, self.base = ranked, base
+        logprob = parent.logprob
+        self.count = len(ranked)
+        if ranked and not logprob + ranked[-1][1] >= incumbent:
+            self.count = bisect_left(
+                ranked, True,
+                key=lambda pair: not logprob + pair[1] >= incumbent)
+        self.settled = 0  # ranks below it are in their final order
+
+    def priority(self, rank):
+        return -((self.parent.logprob + self.ranked[rank][1]) + self.h)
+
+    def settle(self, rank):
+        """Put the run of ranks from `rank` whose priority equals its own
+        in candidate order, the order its tickets would give it if every
+        successor took one in turn.  Equal scores already are; distinct
+        ones whose priorities round alike are put back."""
+        priority = self.priority(rank)
+        end = rank + 1
+        while end < self.count and self.priority(end) == priority:
+            end += 1
+        if self.ranked[end - 1][1] != self.ranked[rank][1]:
+            _, candidates = derivation.legal_actions(self.parent.state)
+            ranked = list(self.ranked)
+            ranked[rank:end] = sorted(
+                ranked[rank:end], key=lambda pair: candidates.index(pair[0]))
+            self.ranked = ranked
+        self.settled = end
+
+    def push(self, heap, rank):
+        """Push the successor at `rank`, settling the run it starts, if
+        the next rank has its priority."""
+        parent_logprob, ranked, h = self.parent.logprob, self.ranked, self.h
+        logprob = parent_logprob + ranked[rank][1]
+        following = rank + 1
+        if self.settled <= following < self.count and \
+                (parent_logprob + ranked[following][1]) + h == logprob + h:
+            self.settle(rank)
+            logprob = parent_logprob + self.ranked[rank][1]
+        heapq.heappush(heap, (-(logprob + h), self.base + rank, logprob,
+                              self, rank))
+
+    def record(self, rank):
+        """The hypothesis of the successor at `rank`, its state built."""
+        value, score = self.ranked[rank]
+        return _record((self.parent.logprob + score, self.h, self.parent,
+                        self.kind, value))
 
 
 def _result(best, status, expanded):
@@ -180,29 +255,40 @@ def parse(model_set, words, config):
                       0.0, bound.untagged[0], None, None, None)
     best = _Best()
     expanded = 0
-    ticket = itertools.count()  # FIFO among equal priorities
-    heap = []  # (-(logprob + h), ticket, entry)
+    tickets = 0  # FIFO among equal priorities
+    live = 0  # passing successors not yet popped, pushed or not
+    heap = []  # (-(logprob + h), ticket, logprob, successors, rank)
     while hyp is not None:
         if hyp.state.complete:
             best.offer(hyp)
         else:
             expanded += 1
-            for entry in _expand(model_set, hyp, bound):
-                if entry[0] >= best.logprob:
-                    heapq.heappush(heap, (-(entry[0] + entry[1]),
-                                          next(ticket), entry))
-            if len(heap) > config.max_hypotheses:
+            try:
+                kind, ranked = action_scores(model_set, hyp.state)
+            except DeadEnd:
+                pass
+            else:
+                successors = _Successors(hyp, kind, bound.after(hyp, kind),
+                                         ranked, tickets, best.logprob)
+                tickets += len(ranked)
+                if successors.count:
+                    live += successors.count
+                    successors.push(heap, 0)
+            if live > config.max_hypotheses:
                 return _memory_fallback(model_set, heap, best, expanded)
         hyp = None
         while heap:
-            priority, _, entry = heapq.heappop(heap)
-            # Every entry left scores at most -priority, so once that
-            # falls below the incumbent (by more than rounding) none can
-            # complete to a parse as good.
+            priority, _, logprob, successors, rank = heapq.heappop(heap)
+            # Every entry left, and every successor not yet pushed, scores
+            # at most -priority, so once that falls below the incumbent (by
+            # more than rounding) none can complete to a parse as good.
             if -priority < best.logprob - 1e-9 * max(1.0, -best.logprob):
                 break
-            if entry[0] >= best.logprob:
-                hyp = _record(entry)
+            live -= 1
+            if rank + 1 < successors.count:
+                successors.push(heap, rank + 1)
+            if logprob >= best.logprob:
+                hyp = successors.record(rank)
                 break
 
     return _result(best, STATUS_NO_PARSE if best.hyp is None
@@ -213,12 +299,24 @@ _MAX_ROLLOUTS = 64
 
 
 def _memory_fallback(model_set, heap, best, expanded):
-    """Out of memory budget: greedily finish the most promising live entry
-    of `heap` so the caller still gets a parse, flagged as a search error.
-    Entries roll out by falling log probability, equal ones in list order."""
-    pool = (item[2] for item in heap)
-    for entry in heapq.nlargest(_MAX_ROLLOUTS, pool, key=itemgetter(0)):
-        hyp = _record(entry)
+    """Out of memory budget: greedily finish the most promising live
+    successor so the caller still gets a parse, flagged as a search error.
+    Live successors are the ranks from each heap entry's to its
+    successors' `count`; they roll out by falling log probability, equal
+    ones in ticket (generation) order."""
+    pool = []  # (logprob, -ticket, successors, rank)
+    for _, _, _, successors, first in heap:
+        rank = max(first, successors.settled)
+        while rank < successors.count:
+            successors.settle(rank)
+            rank = successors.settled
+        parent_logprob, ranked = successors.parent.logprob, successors.ranked
+        pool.extend((parent_logprob + ranked[rank][1],
+                     -(successors.base + rank), successors, rank)
+                    for rank in range(first, successors.count))
+    for _, _, successors, rank in heapq.nlargest(_MAX_ROLLOUTS, pool,
+                                                 key=itemgetter(0, 1)):
+        hyp = successors.record(rank)
         while hyp is not None and not hyp.state.complete:
             expanded += 1
             succs = _expand(model_set, hyp)

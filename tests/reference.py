@@ -5,16 +5,22 @@ faster or does not need: the tests compare the package against them, or
 build fixtures with them.
 """
 
+import heapq
+import itertools
 import math
+from operator import itemgetter
 
 import numpy as np
 
+from dtparser import search
 from dtparser.classtree import _loss_context, _merge_loss_row, _mi_terms
 from dtparser.corpus import RawLeaf
 from dtparser.derivation import (KIND_LABEL, KIND_TAG, TAG_LABEL, _pending,
-                                 apply_action, initial_state, to_raw_tree)
+                                 apply_action, initial_state, legal_actions,
+                                 pending_decision, to_raw_tree)
 from dtparser.dtm import DTNode, FlatTree, _entropy_bits, count_bucket, walk
-from dtparser.errors import IllegalAction, NoEvents
+from dtparser.errors import (DeadEnd, EmptyInput, IllegalAction, NoEvents,
+                             SentenceTooLong)
 
 
 def encode_events(events, schema):
@@ -314,3 +320,87 @@ def extract_history(state, kind=None):
             else:
                 slots.extend((None, None))
     return tuple(slots)
+
+
+def action_scores(model_set, state):
+    """The pending decision kind and a (value, score) pair per legal value
+    in candidate order, each score the natural log of the probability at
+    the leaf that `extract_history`'s history walks to."""
+    decision = pending_decision(state)
+    kind, candidates = legal_actions(state, decision)
+    model = model_set.models[kind]
+    row = model.smoothed[walk(model.tree, extract_history(state, kind))]
+    logs = [math.log(p) for p in row.tolist()]
+    index = model.schema.future_index
+    return kind, [(value, logs[index[value]]) for value in candidates]
+
+
+def _expand(model_set, hyp, bound=None):
+    try:
+        kind, scored = action_scores(model_set, hyp.state)
+    except DeadEnd:
+        return []
+    h = 0.0 if bound is None else bound.after(hyp, kind)
+    return [(hyp.logprob + score, h, hyp, kind, value)
+            for value, score in scored]
+
+
+def _record(entry):
+    _, _, parent, kind, value = entry
+    return search._Hypothesis(apply_action(parent.state, (kind, value),
+                                           validate=False), *entry)
+
+
+def reference_parse(model_set, words, config):
+    """`search.parse` as an eager loop: each expansion pushes every
+    successor that passes the incumbent test, one ticket each in candidate
+    order, and the heap's length is what the memory cap counts.  Out of
+    memory, live entries roll out by falling log probability, equal ones
+    in ticket order."""
+    if not words:
+        raise EmptyInput("cannot parse an empty sentence")
+    if len(words) > config.max_length:
+        raise SentenceTooLong(f"{len(words)} words")
+    bound = search._OutsideBound(model_set, words)
+    hyp = search._Hypothesis(initial_state(words, model_set.context()),
+                             0.0, bound.untagged[0], None, None, None)
+    best = search._Best()
+    expanded = 0
+    ticket = itertools.count()
+    heap = []  # (-(logprob + h), ticket, entry)
+    while hyp is not None:
+        if hyp.state.complete:
+            best.offer(hyp)
+        else:
+            expanded += 1
+            for entry in _expand(model_set, hyp, bound):
+                if entry[0] >= best.logprob:
+                    heapq.heappush(heap, (-(entry[0] + entry[1]),
+                                          next(ticket), entry))
+            if len(heap) > config.max_hypotheses:
+                return _memory_fallback(model_set, heap, best, expanded)
+        hyp = None
+        while heap:
+            priority, _, entry = heapq.heappop(heap)
+            if -priority < best.logprob - 1e-9 * max(1.0, -best.logprob):
+                break
+            if entry[0] >= best.logprob:
+                hyp = _record(entry)
+                break
+    return search._result(best, search.STATUS_NO_PARSE if best.hyp is None
+                          else search.STATUS_OPTIMAL, expanded)
+
+
+def _memory_fallback(model_set, heap, best, expanded):
+    for _, _, entry in heapq.nlargest(search._MAX_ROLLOUTS, heap,
+                                      key=lambda item: (item[2][0],
+                                                        -item[1])):
+        hyp = _record(entry)
+        while hyp is not None and not hyp.state.complete:
+            expanded += 1
+            succs = _expand(model_set, hyp)
+            hyp = _record(max(succs, key=itemgetter(0, 4))) if succs else None
+        if hyp is not None:
+            best.offer(hyp)
+            break
+    return search._result(best, search.STATUS_MEMORY, expanded)

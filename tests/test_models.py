@@ -15,7 +15,7 @@ from dtparser import derivation, dtm, models
 from dtparser.corpus import (UNK, internal_nodes, leaves, parse_tree,
                              split_corpus)
 from dtparser.derivation import EXTENSIONS, TAG_LABEL
-from dtparser.errors import (DTParserError, IllegalAction,
+from dtparser.errors import (DeadEnd, DTParserError, IllegalAction,
                              UnaryChainTooLong, UnknownId)
 from dtparser.headfinder import default_head_rules
 
@@ -178,6 +178,57 @@ def test_action_scores_do_not_overstate(toy_model_set):
         assert all(-math.inf < score <= 0.0 for _, score in scored)
         value = max(scored, key=lambda item: item[1])[0]
         state = derivation.apply_action(state, (kind, value))
+
+
+@pytest.fixture(scope="module")
+def tied_model_set():
+    """m's tags T1 and T2 seen equally often in the same context, so they
+    score alike."""
+    trees = [parse_tree("(S (A m_T1 n_T3))")] * 2 + \
+        [parse_tree("(S (A m_T2 n_T3))")] * 2
+    return models.train(trees, [], toy_config())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), tied=st.booleans())
+def test_action_scores_rank_the_legal_values(toy_model_set, tied_model_set,
+                                             seed, tied):
+    """Along a random derivation, `action_scores` gives exactly the legal
+    values, by falling score and equal scores in candidate order, each
+    score the log of the probability at the leaf the history reaches; a
+    repeated call returns the same tuple, and `score_action` each
+    listed score."""
+    rng = random.Random(seed)
+    if tied:
+        model_set = tied_model_set
+        words = [rng.choice("mn") for _ in range(rng.randint(1, 3))]
+    else:
+        model_set = toy_model_set
+        words = [leaf.word for leaf in leaves(toylang.sentence(rng))]
+    state = derivation.initial_state(words, model_set.context())
+    while not state.complete:
+        try:
+            kind, candidates = derivation.legal_actions(state)
+        except DeadEnd:
+            return
+        got_kind, scored = models.action_scores(model_set, state)
+        assert got_kind == kind
+        assert sorted(value for value, _ in scored) == sorted(candidates)
+        assert len(scored) == len(candidates)
+        for (value, score), (next_value, next_score) in zip(scored,
+                                                           scored[1:]):
+            assert score > next_score or (
+                score == next_score and
+                candidates.index(value) < candidates.index(next_value))
+        model = model_set.models[kind]
+        row = model.predict(reference.extract_history(state, kind))
+        for value, score in scored:
+            assert score == math.log(row[model.schema.future_index[value]])
+            assert models.score_action(model_set, state,
+                                       (kind, value)) == score
+        assert models.action_scores(model_set, state)[1] is scored
+        state = derivation.apply_action(state,
+                                        (kind, rng.choice(candidates)))
 
 
 def test_replace_starts_a_fresh_context(toy_model_set):

@@ -1,6 +1,7 @@
 """Search: agreement with brute-force enumeration, tie-breaks, budgets."""
 
 import dataclasses
+import heapq
 import math
 import random
 
@@ -116,6 +117,27 @@ def test_capped_search_returns_the_same_rollout(
                           config.replace(max_hypotheses=cap))
     assert (format_tree(result.tree), result.logprob.hex(), result.status,
             result.expanded) == (tree, logprob, STATUS_MEMORY, expanded)
+
+
+@pytest.mark.parametrize("model, sentence, logprob, expanded", [
+    ("toy", " ".join(LONG_SENTENCE), "-0x1.3caa9515397c4p-10", 32),
+    ("toy", "rex sees a big ball", "-0x1.7c3d13dce91eap-11", 18),
+    ("toy", "qq zz", "-0x1.5908c47aad2efp+3", 21),
+    ("random-tree", "y w z", "-0x1.8a507aacbc13bp+2", 339),
+    ("random-tree", "w qq z qq", "-0x1.0010a1d709c56p+3", 1566),
+    ("random-tree", "qq y v", "-0x1.760f75c0e4e3ap+2", 316),
+])
+def test_certified_search_expands_the_same_hypotheses(
+        toy_model_set, random_tree_model_set, config, model, sentence,
+        logprob, expanded):
+    """The exact log probability and the expansions of certified searches,
+    pinned: a change to the order in which search pops hypotheses shows in
+    `expanded` even where the optimum stays the same."""
+    model_set = {"toy": toy_model_set,
+                 "random-tree": random_tree_model_set}[model]
+    result = search.parse(model_set, sentence.split(), config)
+    assert (result.logprob.hex(), result.status, result.expanded) == \
+        (logprob, STATUS_OPTIMAL, expanded)
 
 
 def test_default_cap_finds_the_optimum(toy_model_set, config):
@@ -321,3 +343,84 @@ def test_states_are_built_only_for_popped_hypotheses(toy_treebank,
         # but the start, whose state is the initial one, plus the
         # complete parse popped last.
         assert calls <= result.expanded, format_tree(tree)
+
+
+@pytest.fixture(scope="module")
+def tied_model_set():
+    return _ambiguous_model_set(2, 2)
+
+
+TOY_VOCABULARY = sorted(w for ws in toylang.WORDS.values() for w in ws) + \
+    ["qq"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.sampled_from(["toy", "random-tree", "tied"]),
+       seed=st.integers(0, 2 ** 32),
+       cap=st.one_of(st.none(), st.integers(1, 100)))
+def test_search_pops_what_the_eager_loop_pops(
+        toy_model_set, random_tree_model_set, tied_model_set, config, model,
+        seed, cap):
+    """`parse` returns what the eager loop of `reference.reference_parse`
+    does, which pushes every successor at expansion: the same tree, exact
+    log probability, status and expansions, capped or not."""
+    rng = random.Random(seed)
+    if model == "toy":
+        model_set = toy_model_set
+        if rng.random() < 0.5:
+            words = [leaf.word for leaf in leaves(toylang.sentence(rng))]
+        else:
+            words = [rng.choice(TOY_VOCABULARY)
+                     for _ in range(rng.randint(1, 5))]
+    elif model == "random-tree":
+        model_set = random_tree_model_set
+        words = [rng.choice(RANDOM_VOCABULARY)
+                 for _ in range(rng.randint(1, 3))]
+    else:
+        model_set = tied_model_set
+        words = [rng.choice("mn") for _ in range(rng.randint(1, 3))]
+    if cap is not None:
+        config = config.replace(max_hypotheses=cap)
+    got = search.parse(model_set, words, config)
+    want = reference.reference_parse(model_set, words, config)
+    assert (got.tree and format_tree(got.tree), got.logprob.hex(),
+            got.status, got.expanded) == \
+        (want.tree and format_tree(want.tree), want.logprob.hex(),
+         want.status, want.expanded)
+
+
+def test_successors_whose_priorities_round_alike_pop_in_candidate_order(
+        toy_model_set):
+    """Two distinct scores can round to one priority.  Their successors
+    then pop, and roll out of the memory fallback, in candidate order, as
+    they would with one ticket each in that order."""
+    state = derivation.initial_state(["the", "dog"], toy_model_set.context())
+    kind, candidates = derivation.legal_actions(state)
+    parent = search._Hypothesis(state, -64.0, 0.0, None, None, None)
+    # -65 - 2**-50 rounds to -65; the second candidate scores a hair
+    # higher than the first, the rest well below both
+    scores = {candidates[0]: -1.0 - 2.0 ** -50, candidates[1]: -1.0}
+    scores.update((value, -2.0 - i) for i, value in enumerate(candidates)
+                  if value not in scores)
+    ranked = tuple(sorted(scores.items(), key=lambda pair: -pair[1]))
+    assert ranked[0][0] == candidates[1]
+
+    successors = search._Successors(parent, kind, 0.0, ranked, 0, -math.inf)
+    heap = []
+    successors.push(heap, 0)
+    popped = []
+    while heap:
+        _, _, _, block, rank = heapq.heappop(heap)
+        if rank + 1 < block.count:
+            block.push(heap, rank + 1)
+        popped.append(block.record(rank).value)
+    assert popped == sorted(candidates, key=lambda value: (
+        -(parent.logprob + scores[value]), candidates.index(value)))
+    assert popped[:2] == [candidates[0], candidates[1]]
+
+    fresh = search._Successors(parent, kind, 0.0, ranked, 0, -math.inf)
+    heap = []
+    fresh.push(heap, 0)
+    result = search._memory_fallback(toy_model_set, [heap[0]],
+                                     search._Best(), 0)
+    assert leaves(result.tree)[0].tag == candidates[0]
