@@ -20,6 +20,12 @@ builds a one-child parent on the spot.  The parent's head word and head
 tag are copied from the head child, which the head rules pick once the
 parent's label is known.
 
+`decision` is the one place these rules are written.  Every legal
+action leaves a state that can still be completed: a node that ends at
+the last word is offered neither ``right`` nor ``up``, which need a
+sibling to its right.  So the one live state with no legal action is a
+one-word sentence's word node when the unary chain cap is 0.
+
 Every decision is recorded as a DerivationEvent carrying the decision
 kind, the rows of its conditioning history and the chosen value, so a
 tree and its event sequence determine each other exactly.  A tree's
@@ -52,16 +58,18 @@ is found and which of those cases it is, and every reader of the layout
 is generated from it: `slot_layout`'s names and `slot_sources`' (node,
 feature) place of each slot; the row readers, with which `encode` turns
 treebank trees into training events and `extract_history` writes out a
-history whole; `HistoryView`'s reader per slot, through which search's
-tree walks read only the slots they ask; and `word_histories`, which
-bounds the search.
+history whole; `slot_readers`, one reader per slot, with which search's
+tree walks (`dtm.walk`) read only the slots they ask straight from the
+frame that `decision` returns; and `word_histories`, which bounds the
+search.
 
 An event holds its history as rows, not slots: the index of each
 queried node's row in a `RowTable`, which holds each distinct row once,
 so a corpus's rows are encoded once and every model's slot columns are
 gathered from those codes (`dtm.encode_rows`, `dtm.ModelSchema.gather`).
-`RowView` reads an event's slots from its rows, as `HistoryView` reads a
-state's, and `DerivationEvent.history` writes them out as a tuple.
+`RowView` reads an event's slots from its rows, as `slot_readers` read a
+state's from its frame, and `DerivationEvent.history` writes them out as
+a tuple.
 
 Nodes and states are immutable named tuples, so successor states share
 every node they do not change.
@@ -148,53 +156,54 @@ def initial_state(words, ctx):
                            complete=False)
 
 
-def pending_decision(state):
-    """The pending decision: (kind, node or word index).  Raises
-    IllegalAction on a complete state, and DeadEnd on a live one with no
-    decision point left."""
+def decision(state):
+    """The pending decision: its kind, its legal values in candidate
+    order, and the frame `slot_readers(kind)` read its history from.
+    Raises IllegalAction on a complete state, and DeadEnd on a live one
+    with no decision point or no legal value (a prunable hypothesis)."""
     if state.complete:
         raise IllegalAction("derivation already complete")
-    if state.stack:
-        top = state.stack[-1]
+    ctx, words, stack, tagged, _ = state
+    if stack:
+        top = stack[-1]
+        frame = (words, tagged, stack, top.children, top.end + 1)
         if top.label is None:
-            return KIND_LABEL, top
+            return KIND_LABEL, ctx.labels, frame
         if top.extension is None:
-            return KIND_EXTENSION, top
-    nxt = len(state.tagged)
-    if nxt < len(state.words):
-        return KIND_TAG, nxt
+            inner = top.end + 1 < len(words)  # words right of the node
+            candidates = []
+            if inner:
+                candidates.append("right")
+            if len(stack) >= 2 and stack[-2].extension in ("right", "up"):
+                candidates.append("left")
+                if inner:
+                    candidates.append("up")
+            if top.unary_chain < ctx.u_max:
+                candidates.append("unary")
+            # The root is a labelled constituent covering the sentence.
+            if top.width == len(words) and len(stack) == 1 and top.children:
+                candidates.append("root")
+            if not candidates:
+                raise DeadEnd("no legal extension")
+            return KIND_EXTENSION, tuple(candidates), frame
+    i = len(tagged)
+    if i < len(words):
+        return KIND_TAG, ctx.tags, (words, tagged, stack, (), i + 1)
     raise DeadEnd("no decision point left in an incomplete derivation")
 
 
-def legal_actions(state, decision=None):
-    """The pending decision kind and its legal candidate values; pass
-    `decision`, `pending_decision(state)`, if it is already known.
+def pending_decision(state):
+    """The pending decision as (kind, node or word index), raising as
+    `decision` does."""
+    kind, _, frame = decision(state)
+    return kind, (frame[_RIGHT] - 1 if kind == KIND_TAG else state.stack[-1])
 
-    Raises DeadEnd when the state is live but no action is legal (or no
-    decision point exists), which marks a prunable hypothesis.
-    """
-    kind, target = decision or pending_decision(state)
-    if kind == KIND_TAG:
-        return kind, tuple(state.ctx.tags)
-    if kind == KIND_LABEL:
-        return kind, tuple(state.ctx.labels)
 
-    node = target
-    whole = node.width == len(state.words)
-    candidates = []
-    if not whole:
-        candidates.append("right")
-    if len(state.stack) >= 2 and state.stack[-2].extension in ("right", "up"):
-        candidates.append("left")
-        candidates.append("up")
-    if node.unary_chain < state.ctx.u_max:
-        candidates.append("unary")
-    # The root must be a labelled constituent covering the whole sentence.
-    if whole and len(state.stack) == 1 and not node.is_leaf:
-        candidates.append("root")
-    if not candidates:
-        raise DeadEnd("no legal extension")
-    return kind, tuple(candidates)
+def legal_actions(state):
+    """The pending decision kind and its legal candidate values, raising
+    as `decision` does."""
+    kind, candidates, _ = decision(state)
+    return kind, candidates
 
 
 def apply_action(state, action, validate=True):
@@ -247,22 +256,17 @@ def apply_action(state, action, validate=True):
 
 # --- history extraction ---
 
-# A decision's history is read from its frame: the words, the tags
-# assigned so far, the active stack, the current node's children (none
-# when a word is being tagged) and the first word right of the decision.
+# A decision's history is read from its frame, which `decision` builds:
+# the words, the tags assigned so far, the active stack, the current
+# node's children (none when a word is being tagged) and the first word
+# right of the decision.
 _WORDS, _TAGGED, _STACK, _KIDS, _RIGHT = range(5)
-
-
-def _frame(state, kind, target):
-    kids, right = (((), target + 1) if kind == KIND_TAG
-                   else (target.children, target.end + 1))
-    return state.words, state.tagged, state.stack, kids, right
 
 
 # The features of a queried node, in slot order, and their value kinds.
 # How a node shows them is its case: a function of where the node is found
 # that returns frame readers, one of the node's whole row, for the bulk
-# history, and one per feature it shows (the first n), for the lazy view.
+# history, and one per feature it shows (the first n), for tree walks.
 _FEATURES = {"word": "word", "tag": "tag", "label": "label",
              "ext": "extension", "nch": "count", "width": "width"}
 _ROW = len(_FEATURES)  # a built Node's first fields are its row
@@ -362,47 +366,32 @@ def slot_sources(kind):
     return _SOURCES[kind]
 
 
+def slot_readers(kind):
+    """A reader per history slot: slot i of a `kind` decision's history is
+    `slot_readers(kind)[i](frame)`, `frame` as `decision` returns it."""
+    return _SLOTS[kind]
+
+
 def _pending(state, kind):
-    """The pending decision, which `kind`, when given, must name; a state
-    with none raises IllegalAction."""
+    """`decision(state)`, whose kind must be `kind` when it is given; a
+    state with no pending decision raises IllegalAction."""
     try:
-        dec = pending_decision(state)
+        pending = decision(state)
     except DeadEnd as exc:
         raise IllegalAction(f"no pending decision: {exc}") from None
-    if kind is not None and kind != dec[0]:
-        raise IllegalAction(f"pending decision is {dec[0]}, not {kind}")
-    return dec
+    if kind is not None and kind != pending[0]:
+        raise IllegalAction(f"pending decision is {pending[0]}, not {kind}")
+    return pending
 
 
 def extract_history(state, kind=None):
     """The history of the pending decision as a tuple, read a queried node
     at a time; `kind` is checked against the pending decision when given."""
-    kind, target = _pending(state, kind)
-    frame = _frame(state, kind, target)
+    kind, _, frame = _pending(state, kind)
     slots = []
     for row in _ROWS[kind]:
         slots += row(frame)
     return tuple(slots)
-
-
-class HistoryView:
-    """The history of `state`'s pending decision as a read-only sequence
-    whose slot i is read when it is indexed, and equals
-    `extract_history(state, kind)[i]`; `kind` is checked as there, unless
-    `decision`, `pending_decision(state)`, is given instead."""
-
-    __slots__ = ("_readers", "_frame")
-
-    def __init__(self, state, kind=None, decision=None):
-        kind, target = decision or _pending(state, kind)
-        self._readers = _SLOTS[kind]
-        self._frame = _frame(state, kind, target)
-
-    def __len__(self):
-        return len(self._readers)
-
-    def __getitem__(self, slot):
-        return self._readers[slot](self._frame)
 
 
 def word_histories(word, unknown):
@@ -410,14 +399,14 @@ def word_histories(word, unknown):
     extension decision, with `unknown` in every slot but the current
     node's, and in its tag at the extension decision.  Wherever the word
     stands, the layout reads that node alike, so it is read here in a
-    one-word sentence."""
-    tagging = initial_state((word,), None)
+    one-word sentence, whose word node a unary chain cap of 1 lets extend."""
+    tagging = initial_state((word,), DerivationContext((), (), None, 1))
     extending = apply_action(tagging, (KIND_TAG, unknown), validate=False)
     histories = []
     for state in (tagging, extending):
-        kind, target = pending_decision(state)
+        kind, _, frame = decision(state)
         (_, cur, shown), *_ = _READERS[kind]  # the layout's first node
-        histories.append(cur(_frame(state, kind, target))
+        histories.append(cur(frame)
                          + (unknown,) * (len(_SLOTS[kind]) - len(shown)))
     return tuple(histories)
 
@@ -507,8 +496,7 @@ def encode(tree, ctx, table=None):
     add = index.setdefault
     events = []
     for state, kind, value in replay(tree, ctx):
-        frame = _frame(state, kind, len(state.tagged) if kind == KIND_TAG
-                       else state.stack[-1])
+        frame = decision(state)[2]
         refs = tuple([add(row(frame), len(index)) for row in _ROWS[kind]])
         events.append(DerivationEvent(kind, refs, value, table))
     table.rows.extend(islice(index, len(table.rows), None))

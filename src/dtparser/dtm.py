@@ -35,9 +35,10 @@ all questions of a node in one pass over the node's rows; the few whose
 gain is within rounding of the best are scored again one at a time, so
 the question asked, and its tie-break toward the earliest, is exactly
 that of the scalar formula.  Prediction, and the held-out grouping in
-`smooth`, instead `walk` the tree, reading only the slot each question
-on its path reads and encoding it alone.  Both look codes up in the one
-symbol -> int table of each class tree, `ClassTree.codes`.
+`smooth`, instead `walk` the tree, reading (from a sequence of slots,
+or through a reader per slot) and encoding only the slot each question
+on its path asks.  Both look codes up in the one symbol -> int table of
+each class tree, `ClassTree.codes`.
 
 A tree has one form, a `FlatTree`: one table of per-node lists in
 preorder, which growing and loading both fill one node at a time
@@ -49,6 +50,7 @@ in which each internal node has both branches.
 
 import logging
 import math
+from functools import cache
 from itertools import zip_longest
 from operator import itemgetter
 from typing import NamedTuple
@@ -386,22 +388,25 @@ class FlatTree:
 UNKNOWN = object()  # a history slot that may hold any value
 
 
-def walk(tree, history, node=0):
+def walk(tree, source, readers=None, node=0):
     """Follow the questions of complete FlatTree `tree` from node `node`,
     the root by default; the id of the reached leaf, or of the first node
-    on the way whose question reads a slot holding UNKNOWN.  Only the
-    slots the questions read are encoded: a missing value answers `isnull`
-    yes and every other question no, and a symbol its class tree does not
-    cover raises UnknownId (unless the tree has a fallback) only when a
-    question reads its slot."""
-    if len(history) != tree.width:
+    on the way whose question reads a slot holding UNKNOWN.  Slot s is
+    `readers[s](source)`, or `source[s]` without `readers`.  Only the
+    slots the questions read are read and encoded: a missing value
+    answers `isnull` yes and every other question no, and a symbol its
+    class tree does not cover raises UnknownId (unless the tree has a
+    fallback) only when a question reads its slot."""
+    if readers is None:
+        readers = _item_getters(len(source))
+    if len(readers) != tree.width:
         raise SlotLayoutMismatch(
-            f"history has {len(history)} slots, schema expects {tree.width}")
+            f"history has {len(readers)} slots, schema expects {tree.width}")
     slots, kinds, args, tables = tree.slots, tree.kinds, tree.args, tree.tables
     yes, no = tree.yes, tree.no
     i = node
     while (slot := slots[i]) >= 0:
-        value = history[slot]
+        value = readers[slot](source)
         kind = kinds[i]
         if value is None:
             answer = kind == _ISNULL
@@ -417,6 +422,11 @@ def walk(tree, history, node=0):
     return i
 
 
+@cache
+def _item_getters(width):  # the readers of a sequence of `width` slots
+    return tuple(map(itemgetter, range(width)))
+
+
 def max_leaf_probability(tree, history, dists):
     """The largest probability that a leaf of FlatTree `tree` reachable
     from `history` gives any future, where `dists[i]` is node i's
@@ -427,7 +437,7 @@ def max_leaf_probability(tree, history, dists):
     best = 0.0
     todo = [0]
     while todo:
-        i = walk(tree, history, todo.pop())
+        i = walk(tree, history, node=todo.pop())
         if tree.slots[i] < 0:
             best = max(best, float(dists[i].max()))
         else:

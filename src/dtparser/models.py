@@ -199,16 +199,14 @@ def action_scores(model_set, state):
     Probabilities come straight from the decision-tree model; values made
     illegal by the derivation rules are dropped without renormalising, so
     a partial derivation's probability never understates its completions.
-    The model's tree walk reads the history through a
-    `derivation.HistoryView`, which computes only the slots it asks.  The
-    ranked tuple is the model's, shared by every state that reaches the
-    same leaf with the same candidates (`SmoothedModel.ranked_scores`).
-    """
-    decision = derivation.pending_decision(state)  # both may raise DeadEnd
-    kind, candidates = derivation.legal_actions(state, decision)
+    One `derivation.decision` gives the kind, candidates and frame, and
+    the tree walk reads only the slots it asks, straight from the frame
+    (`derivation.slot_readers`).  The ranked tuple is the model's, shared
+    by every state that reaches the same leaf with the same candidates
+    (`SmoothedModel.ranked_scores`).  Raises as `derivation.decision`."""
+    kind, candidates, frame = derivation.decision(state)
     model = model_set.models[kind]
-    leaf = dtm.walk(model.tree,
-                    derivation.HistoryView(state, decision=decision))
+    leaf = dtm.walk(model.tree, frame, derivation.slot_readers(kind))
     return kind, model.ranked_scores(leaf, candidates)
 
 

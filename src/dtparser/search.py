@@ -29,12 +29,12 @@ not yet pushed that passed the incumbent test when it was expanded: all
 that an eager search, pushing every successor at once, would hold.  If
 their number ever exceeds `max_hypotheses` the search stops certifying
 and instead greedily rolls the best live hypothesis out to a
-completion, reporting `search-error-memory` (with a parse whenever one
-can still be finished).  Live hypotheses are tried by falling log
-probability, equal ones in ticket order.  The rollout's greedy step
-breaks equal log probabilities toward the lexicographically largest
-action value, unlike the exact search and `exhaustive_parse`, which break
-them toward the smallest.
+completion, reporting `search-error-memory` with a parse: every legal
+action leaves a derivation that can be finished.  Live hypotheses are
+tried by falling log probability, equal ones in ticket order.  The
+rollout's greedy step breaks equal log probabilities toward the
+lexicographically largest action value, unlike the exact search and
+`exhaustive_parse`, which break them toward the smallest.
 
 `exhaustive_parse` is an independent check on all of this: a plain
 depth-first enumeration of every legal decision sequence with only the
@@ -62,8 +62,9 @@ first member is pushed.
 A popped successor becomes a hypothesis record, whose derivation state
 is built when it is made, only where search keeps it: when it survives
 both incumbent checks, when the memory fallback rolls it out, and when
-`exhaustive_parse` descends into it.  Search order and results do not
-depend on when states are built.
+`exhaustive_parse` descends into it; `_Successors.record` builds it
+straight from the parent's state, the decision's kind and the value.
+Search order and results do not depend on when states are built.
 """
 
 import heapq
@@ -208,8 +209,11 @@ class _Successors:
     def record(self, rank):
         """The hypothesis of the successor at `rank`, its state built."""
         value, score = self.ranked[rank]
-        return _record((self.parent.logprob + score, self.h, self.parent,
-                        self.kind, value))
+        parent, kind = self.parent, self.kind
+        return _Hypothesis(
+            derivation.apply_action(parent.state, (kind, value),
+                                    validate=False),
+            parent.logprob + score, self.h, parent, kind, value)
 
 
 def _result(best, status, expanded):

@@ -278,7 +278,8 @@ def extract_history(state, kind=None):
     """The history of the pending decision, every slot written out by hand
     in the order of `derivation.slot_layout`: the oracle of the readers
     that `derivation` generates from its layout table."""
-    actual_kind, target = _pending(state, kind)
+    actual_kind = _pending(state, kind)[0]
+    target = pending_decision(state)[1]
     stack = state.stack
     if actual_kind == KIND_TAG:
         i = target
@@ -326,8 +327,7 @@ def action_scores(model_set, state):
     """The pending decision kind and a (value, score) pair per legal value
     in candidate order, each score the natural log of the probability at
     the leaf that `extract_history`'s history walks to."""
-    decision = pending_decision(state)
-    kind, candidates = legal_actions(state, decision)
+    kind, candidates = legal_actions(state)
     model = model_set.models[kind]
     row = model.smoothed[walk(model.tree, extract_history(state, kind))]
     logs = [math.log(p) for p in row.tolist()]

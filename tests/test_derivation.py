@@ -20,9 +20,10 @@ from dtparser.corpus import (RawLeaf, RawTree, format_tree, parse_tree,
                              sentence_words)
 from dtparser.derivation import (KIND_EXTENSION, KIND_LABEL,
                                  KIND_TAG, TAG_LABEL, DerivationContext,
-                                 HistoryView, apply_action, encode, extract_history,
-                                 initial_state, legal_actions, max_unary_chain,
-                                 slot_layout, to_raw_tree, word_histories)
+                                 apply_action, decision, encode,
+                                 extract_history, initial_state,
+                                 legal_actions, max_unary_chain, slot_layout,
+                                 slot_readers, to_raw_tree, word_histories)
 from dtparser.dtm import UNKNOWN
 from dtparser.errors import (DeadEnd, EmptyInput, IllegalAction,
                              NonContiguousTree, UnaryChainTooLong)
@@ -187,16 +188,19 @@ def test_random_tree_events_are_pinned():
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32))
 def test_encoded_histories_match_the_oracle_on_random_trees(seed):
-    """Every event's history, and every slot of the lazy view of the same
-    state, equals the hand-written oracle's, for all three kinds."""
+    """Every event's history, and every slot the layout's readers read
+    from the same state's frame, equals the hand-written oracle's, for all
+    three kinds."""
     tree = toylang.random_tree(random.Random(seed))
     ctx = toy_ctx()
     state = initial_state([leaf.word for leaf in _leaves(tree)], ctx)
     kinds = set()
     for event in encode(tree, ctx):
         assert event.history == reference.extract_history(state, event.kind)
-        view = HistoryView(state, event.kind)
-        assert tuple(view[i] for i in range(len(view))) == event.history
+        kind, _, frame = decision(state)
+        assert kind == event.kind
+        assert tuple(read(frame) for read in slot_readers(kind)) == \
+            event.history
         kinds.add(event.kind)
         state = apply_action(state, (event.kind, event.future))
     assert kinds == {KIND_TAG, KIND_LABEL, KIND_EXTENSION}
@@ -308,12 +312,20 @@ def test_whole_span_word_dead_ends_without_unary_budget():
 
 
 def test_stranded_words_dead_end():
-    # both words opened constituents that nothing can ever close
+    # a node ending at the last word needs no sibling to its right, so it
+    # may neither open a constituent nor continue one
     state = replay(["u", "v"],
-                   [("tag", "T1"), ("extension", "right"), ("tag", "T2"),
-                    ("extension", "right")], toy_ctx())
+                   [("tag", "T1"), ("extension", "right"), ("tag", "T2")],
+                   toy_ctx())
+    assert legal_actions(state) == (KIND_EXTENSION, ("left", "unary"))
+    with pytest.raises(IllegalAction):
+        apply_action(state, ("extension", "right"))
+    with pytest.raises(IllegalAction):
+        apply_action(state, ("extension", "up"))
+    # both words opened constituents that nothing can ever close
+    stranded = apply_action(state, ("extension", "right"), validate=False)
     with pytest.raises(DeadEnd):
-        legal_actions(state)
+        legal_actions(stranded)
 
 
 def test_complete_state_accepts_nothing():
@@ -326,7 +338,7 @@ def test_complete_state_accepts_nothing():
     with pytest.raises(IllegalAction):
         extract_history(state)
     with pytest.raises(IllegalAction):
-        HistoryView(state)
+        decision(state)
 
 
 def test_illegal_action_rejected():
@@ -341,8 +353,8 @@ def test_extract_history_checks_kind():
     state = initial_state(["u"], toy_ctx())
     with pytest.raises(IllegalAction):
         extract_history(state, KIND_LABEL)
-    with pytest.raises(IllegalAction):
-        HistoryView(state, KIND_LABEL)
+    # `decision` takes no kind to check: it returns the pending one
+    assert decision(state)[0] == KIND_TAG
 
 
 def test_nodes_and_states_are_immutable():

@@ -17,7 +17,7 @@ from dtparser.corpus import (RawLeaf, RawTree, format_tree, leaves,
                              parse_tree, split_corpus)
 from dtparser.errors import (DeadEnd, EmptyInput, EnumerationBudgetExceeded,
                              IllegalAction, SentenceTooLong,
-                             UnaryChainTooLong)
+                             SlotLayoutMismatch, UnaryChainTooLong)
 from dtparser.search import STATUS_MEMORY, STATUS_OPTIMAL
 
 from conftest import toy_config
@@ -195,12 +195,13 @@ def assert_matches_enumeration(model_set, words, config):
 
 
 @pytest.mark.parametrize("model", ["toy", "random-tree"])
-def test_history_view_agrees_with_extract_history(model, toy_model_set,
-                                                  random_tree_model_set,
-                                                  config, monkeypatch):
-    """On every state the search scores, each slot of the lazy view and
-    of the bulk history equals the hand-written oracle's, and the tree
-    walk reaches the same leaf."""
+def test_slot_readers_agree_with_extract_history(model, toy_model_set,
+                                                 random_tree_model_set,
+                                                 config, monkeypatch):
+    """On every state the search scores, each slot that the layout's
+    readers read from the decision's frame, and each of the bulk history,
+    equals the hand-written oracle's, and the tree walk over the frame
+    reaches the same leaf as the walk over the oracle's tuple."""
     if model == "toy":
         model_set = toy_model_set
         sentences = toylang.short_sentences(20, 81) + [LONG_SENTENCE]
@@ -229,18 +230,44 @@ def test_history_view_agrees_with_extract_history(model, toy_model_set,
         try:
             history = reference.extract_history(state)
         except IllegalAction:
-            with pytest.raises(IllegalAction):
-                derivation.HistoryView(state)
+            assert kind is None
+            with pytest.raises(DeadEnd):
+                derivation.decision(state)
             with pytest.raises(IllegalAction):
                 derivation.extract_history(state)
             continue
-        view = derivation.HistoryView(state, kind)
-        assert len(view) == len(history)
-        assert tuple(view[i] for i in range(len(view))) == history
+        got_kind, _, frame = derivation.decision(state)
+        assert got_kind == kind
+        readers = derivation.slot_readers(kind)
+        assert len(readers) == len(history)
+        assert tuple(read(frame) for read in readers) == history
         assert derivation.extract_history(state, kind) == history
-        if kind is not None:
-            tree = model_set.models[kind].tree
-            assert dtm.walk(tree, view) == dtm.walk(tree, history)
+        tree = model_set.models[kind].tree
+        assert dtm.walk(tree, frame, readers) == dtm.walk(tree, history)
+
+
+def test_walk_checks_the_reader_width(toy_model_set):
+    """A walk whose history has one slot too few or too many raises
+    SlotLayoutMismatch, whether it reads a sequence of slots or a frame
+    through readers."""
+    state = derivation.initial_state(["the", "dog"], toy_model_set.context())
+    kind, _, frame = derivation.decision(state)
+    readers = derivation.slot_readers(kind)
+    history = derivation.extract_history(state, kind)
+    assert dtm.walk(toy_model_set.models[kind].tree, frame, readers) == \
+        dtm.walk(toy_model_set.models[kind].tree, history)
+    for other in derivation.KINDS:
+        tree = toy_model_set.models[other].tree
+        for cut in (readers[:-1], readers + readers[:1]):
+            with pytest.raises(SlotLayoutMismatch):
+                dtm.walk(tree, frame, cut)
+            with pytest.raises(SlotLayoutMismatch):
+                dtm.walk(tree, tuple(read(frame) for read in cut))
+        if len(readers) != tree.width:  # the label and extension layout
+            with pytest.raises(SlotLayoutMismatch):
+                dtm.walk(tree, frame, readers)
+            with pytest.raises(SlotLayoutMismatch):
+                dtm.walk(tree, history)
 
 
 def test_search_matches_enumeration_on_an_ambiguous_model(
@@ -387,6 +414,75 @@ def test_search_pops_what_the_eager_loop_pops(
             got.status, got.expanded) == \
         (want.tree and format_tree(want.tree), want.logprob.hex(),
          want.status, want.expanded)
+
+
+def _outcome(call, *args):
+    """What `call(*args)` returns, or the type of the error it raises."""
+    try:
+        return call(*args)
+    except (DeadEnd, IllegalAction) as exc:
+        return type(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=st.sampled_from(["toy", "random-tree", "tied"]),
+       seed=st.integers(0, 2 ** 32))
+def test_action_scores_rank_as_the_oracle_history_walks(
+        toy_model_set, random_tree_model_set, tied_model_set, model, seed):
+    """Along a random derivation, `action_scores` gives the kind and the
+    ranked (value, score) tuple that walking `reference.extract_history`'s
+    tuple gives, and raises DeadEnd and IllegalAction exactly where
+    `pending_decision` does.  Each step takes a random legal action, or,
+    at times, `right` or `up` at the last word, where neither is legal,
+    which strands the derivation.  A raised error ends the walk."""
+    rng = random.Random(seed)
+    model_set, vocabulary, longest = {
+        "toy": (toy_model_set, TOY_VOCABULARY, 6),
+        "random-tree": (random_tree_model_set, RANDOM_VOCABULARY, 5),
+        "tied": (tied_model_set, "mn", 3)}[model]
+    words = [rng.choice(vocabulary) for _ in range(rng.randint(1, longest))]
+    state = derivation.initial_state(words, model_set.context())
+    while True:
+        got = _outcome(models.action_scores, model_set, state)
+        pending = _outcome(derivation.pending_decision, state)
+        if isinstance(pending, type):
+            assert got is pending
+            return
+        kind, scored = reference.action_scores(model_set, state)
+        assert got == (kind, tuple(sorted(scored, key=lambda p: -p[1])))
+        values = [value for value, _ in scored]
+        if kind == derivation.KIND_EXTENSION and \
+                state.stack[-1].end == len(words) - 1 and rng.random() < 0.3:
+            values = ["right", "up"]  # neither is legal at the last word
+        state = derivation.apply_action(state, (kind, rng.choice(values)),
+                                        validate=False)
+
+
+def test_every_capped_search_returns_a_tree(random_tree_model_set,
+                                            tied_model_set, config):
+    """Every legal action leaves a state that can still be completed, so
+    the memory fallback's rollout always finishes: 250 random capped
+    searches on each of the tied and random-tree models all return a
+    tree of their words."""
+    rng = random.Random(1)
+    for model_set, vocabulary, lengths in (
+            (tied_model_set, "mn", (1, 3)),
+            (random_tree_model_set, RANDOM_VOCABULARY, (2, 5))):
+        capped = 0
+        for _ in range(1000):
+            words = [rng.choice(vocabulary)
+                     for _ in range(rng.randint(*lengths))]
+            cap = rng.randint(1, 100)
+            result = search.parse(model_set, words,
+                                  config.replace(max_hypotheses=cap))
+            if result.status != STATUS_MEMORY:
+                continue
+            assert result.tree is not None, (words, cap)
+            assert [leaf.word for leaf in leaves(result.tree)] == words
+            capped += 1
+            if capped == 250:
+                break
+        assert capped == 250
 
 
 def test_successors_whose_priorities_round_alike_pop_in_candidate_order(
